@@ -24,7 +24,6 @@ from .errors import (
 from .linalg import (
     SpectralSummary,
     matrix_exponential,
-    schur_decompose,
     solve_lyapunov,
     spd_inverse_and_logdet,
     spectral_abscissa,
@@ -82,7 +81,6 @@ from .modify import (
     parameterize,
     penalized_objective,
     random_edge_set,
-    worker_count,
 )
 from .io import bundled_network_path, ingest, save_network, serialize_network
 
@@ -102,7 +100,6 @@ __all__ = [
     "SpectralSummary",
     "spectral_summary",
     "spectral_abscissa",
-    "schur_decompose",
     "solve_lyapunov",
     "matrix_exponential",
     "spd_inverse_and_logdet",
@@ -155,7 +152,6 @@ __all__ = [
     "modification_is_feasible",
     "brute_force_oracle",
     "random_edge_set",
-    "worker_count",
     # ingestion / serialization
     "ingest",
     "serialize_network",

@@ -140,12 +140,30 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_analyze(args) -> int:
+def _rank_edges(args):
+    """Network, metric, reduced system, candidate set and ECM of one run."""
     net = _resolve_network(args.network)
     metric = GramianMetric.parse(args.metric)
     sys = build_reduced_system(net)
     candidate = _parse_candidate(args.candidate, net)
-    report = build_ecm(sys, net, candidate, metric)
+    return net, metric, sys, candidate, build_ecm(sys, net, candidate, metric)
+
+
+def _problem(args, net, edge_set, metric, beta: float) -> ModificationProblem:
+    return ModificationProblem(
+        net=net,
+        edge_set=edge_set,
+        metric=metric,
+        beta=beta,
+        parameterization=args.param,
+        chi=args.chi,
+        restarts=args.restarts,
+        seed=args.seed,
+    )
+
+
+def cmd_analyze(args) -> int:
+    net, metric, sys, _, report = _rank_edges(args)
     lam, nnec_ranking = nnec_report(net)
     config = _config_dict(args)
     out = _out_dir(args)
@@ -222,11 +240,7 @@ def _recovered_admittance(net, result: ModificationResult, rho_arg: str):
 
 
 def cmd_modify(args) -> int:
-    net = _resolve_network(args.network)
-    metric = GramianMetric.parse(args.metric)
-    sys = build_reduced_system(net)
-    candidate = _parse_candidate(args.candidate, net)
-    report = build_ecm(sys, net, candidate, metric)
+    net, metric, sys, _, report = _rank_edges(args)
     edge_set = select_edge_set(report, args.s)
 
     min_g = min(net.edge_weight(e) for e in edge_set)
@@ -237,17 +251,9 @@ def cmd_modify(args) -> int:
             file=_sys.stderr,
         )
 
-    problem = ModificationProblem(
-        net=net,
-        edge_set=edge_set,
-        metric=metric,
-        beta=args.beta,
-        parameterization=args.param,
-        chi=args.chi,
-        restarts=args.restarts,
-        seed=args.seed,
+    result = optimize_modification(
+        _problem(args, net, edge_set, metric, args.beta)
     )
-    result = optimize_modification(problem)
 
     damping_before = damping_report(sys.A)
     sys_after = build_reduced_system(net.with_laplacian(result.L_modified))
@@ -284,11 +290,7 @@ def cmd_modify(args) -> int:
         warm = None
         for beta_k in np.linspace(args.beta / args.beta_sweep, args.beta,
                                   args.beta_sweep):
-            step = ModificationProblem(
-                net=net, edge_set=edge_set, metric=metric, beta=float(beta_k),
-                parameterization=args.param, chi=args.chi,
-                restarts=args.restarts, seed=args.seed,
-            )
+            step = _problem(args, net, edge_set, metric, float(beta_k))
             step_result = optimize_modification(step, warm_start_gamma=warm)
             warm = step_result.gamma
             rows.append((float(beta_k), step_result.improvement_pct))
@@ -306,22 +308,9 @@ def cmd_modify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    net = _resolve_network(args.network)
-    metric = GramianMetric.parse(args.metric)
-    sys = build_reduced_system(net)
-    candidate = _parse_candidate(args.candidate, net)
-    report = build_ecm(sys, net, candidate, metric)
+    net, metric, _, candidate, report = _rank_edges(args)
     edge_set = select_edge_set(report, args.s)
-    problem = ModificationProblem(
-        net=net,
-        edge_set=edge_set,
-        metric=metric,
-        beta=args.beta,
-        parameterization=args.param,
-        chi=args.chi,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    problem = _problem(args, net, edge_set, metric, args.beta)
     summary = brute_force_oracle(problem, candidate, cap=args.cap)
 
     config = _config_dict(args)
@@ -355,6 +344,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    # One sample has no standard error, and a negative count has no meaning.
+    if args.samples < 0 or args.samples == 1:
+        raise ValueError(f"--samples must be 0 or at least 2, got {args.samples}")
     net = _resolve_network(args.network)
     sys = build_reduced_system(net)
     if args.tf == "auto":
@@ -514,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tf", default="auto",
                    help="steering horizon, or 'auto' for -1/alpha (default)")
     p.add_argument("--samples", type=int, default=10_000,
-                   help="number of random initial states (default: 10000)")
+                   help="number of random initial states, 0 or at least 2 "
+                        "(default: 10000)")
     p.add_argument("--seed", type=int, default=0,
                    help="sampling seed (default: 0)")
     p.set_defaults(func=cmd_energy)

@@ -22,7 +22,6 @@ __all__ = [
     "SpectralSummary",
     "spectral_summary",
     "spectral_abscissa",
-    "schur_decompose",
     "solve_lyapunov",
     "matrix_exponential",
     "spd_inverse_and_logdet",
@@ -67,21 +66,6 @@ def spectral_abscissa(A) -> float:
     Strictly negative iff ``A`` is Hurwitz.
     """
     return spectral_summary(A).abscissa
-
-
-def schur_decompose(A):
-    """Real Schur decomposition ``A = Z T Z^T``.
-
-    Returns ``(T, Z)`` with ``T`` quasi upper triangular and ``Z``
-    orthogonal. Convergence failures surface as :class:`NumericalError`
-    instead of a bare LAPACK error.
-    """
-    A = _as_square(A)
-    try:
-        T, Z = sla.schur(A, output="real")
-    except (sla.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    return T, Z
 
 
 def _lyapunov_unchecked(A: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import powergram
 from powergram import (
     ModelError,
     ReducedAdmittanceData,
@@ -260,6 +265,21 @@ class TestCliModify:
             np.array(payload["L_modified"]), modified.L, atol=1e-12
         )
 
+    def test_sigmoid_search_past_exp_overflow(self, out_dir):
+        # This search drives chi * kappa far below -709, where exp(-chi kappa)
+        # overflows a double; the run must still finish with a feasible point.
+        code = main(
+            [
+                "modify", "ieee9", "--out", str(out_dir), "--metric", "logdet",
+                "--s", "2", "--beta", "0.5", "--param", "sigmoid",
+            ]
+        )
+        assert code == 0
+        payload = json.loads((out_dir / "modification.json").read_text())
+        assert payload["feasible"] is True
+        assert np.linalg.norm(payload["gamma"]) <= 0.5 + 1e-9
+        assert payload["improvement_pct"] > 0.0
+
     def test_beta_sweep_outputs(self, out_dir):
         code = main(
             [
@@ -346,6 +366,29 @@ class TestCliOracle:
         assert "exceed" in capsys.readouterr().err
 
 
+def test_modify_does_not_import_scipy_optimize(tmp_path):
+    # The Nelder-Mead search is hand-written to keep this import (and its
+    # memory and start-up cost) out of every run; a fresh interpreter is
+    # the only place where its absence can be observed.
+    script = (
+        "import sys\n"
+        "import powergram\n"
+        "from powergram import cli\n"
+        f"code = cli.main(['modify', 'ieee9', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(powergram.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 class TestCliEnergy:
     def test_analytic_only(self, out_dir):
         code = main(
@@ -377,6 +420,16 @@ class TestCliEnergy:
         assert main(["energy", "ieee9", "--out", str(out_dir), "--tf", "x"]) == 2
         assert main(["energy", "ieee9", "--out", str(out_dir), "--tf", "-1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("samples", ["1", "-3"])
+    def test_bad_sample_count_is_usage_error(self, out_dir, capsys, samples):
+        # One sample has no standard error; a negative count means nothing.
+        code = main(
+            ["energy", "ieee9", "--out", str(out_dir), "--samples", samples]
+        )
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (out_dir / "energy_summary.json").exists()
 
 
 class TestCliDamping:

@@ -9,7 +9,6 @@ from powergram import (
     NumericalError,
     StabilityError,
     matrix_exponential,
-    schur_decompose,
     solve_lyapunov,
     spd_inverse_and_logdet,
     spectral_abscissa,
@@ -51,14 +50,6 @@ def test_square_input_required():
         spectral_abscissa(np.ones((2, 3)))
     with pytest.raises(ValueError):
         spectral_abscissa(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_schur_reconstructs_and_is_orthogonal():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((8, 8))
-    T, Z = schur_decompose(A)
-    assert np.linalg.norm(Z @ T @ Z.T - A) <= 1e-12 * np.linalg.norm(A) * 100
-    assert np.linalg.norm(Z.T @ Z - np.eye(8)) <= 1e-12
 
 
 def test_lyapunov_scalar_closed_form():
