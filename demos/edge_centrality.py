@@ -29,8 +29,8 @@ print("\nbaseline controllability metrics:")
 for metric, value in base.metric_values.items():
     print(f"  {metric.value:14s} {value: .6f}")
 
-# One auxiliary Lyapunov solve per candidate edge gives the full
-# sensitivity row; here the candidate set is every existing line.
+# One adjoint Lyapunov solve gives the sensitivity of every candidate
+# edge at once; here the candidate set is every existing line.
 candidate = CandidateEdgeSet.laplacian_support(net)
 print(f"\ncandidate edges: {', '.join(str(e) for e in candidate)}")
 

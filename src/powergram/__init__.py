@@ -5,7 +5,7 @@ The pipeline, end to end:
 1. model a generator network (inertias, dampings, susceptance Laplacian)
    and reduce its swing dynamics to a stable state-space pair;
 2. rank edges by the sensitivity of a controllability metric to their
-   coupling strength (one Lyapunov solve per edge);
+   coupling strength (one adjoint Lyapunov solve for all edges);
 3. optimize a budgeted susceptance modification on the top-ranked edges
    with a penalized multi-start simplex search;
 4. judge the pick against the exhaustive best/worst subsets, minimum

@@ -2,14 +2,16 @@
 
 The edge centrality matrix collects, for every candidate edge, the
 first-order sensitivity of a controllability metric to that edge's
-coupling strength. Each entry costs one Lyapunov solve: if W is the
-infinite-horizon Gramian and F the direction the state matrix moves when
-the edge strengthens, then X solving A X + X A^T + F W + W F^T = 0 is
-the Gramian's derivative, and the metric gradients are
+coupling strength. If W is the infinite-horizon Gramian and F the
+direction the state matrix moves when the edge strengthens, the
+Gramian's derivative X solves A X + X A^T + F W + W F^T = 0, and the
+metric gradient is tr(G X) with G = I (trace), W^-1 (logdet) or W^-2
+(neg-trace-inv). The adjoint identity tr(G X) = 2 tr(P F W), with
+A^T P + P A + G = 0, serves every edge from one solve: F is
+-M^-1 (e_a - e_b)(e_a - e_b)^T U in its frequency-by-angle block, so
+with the N x N matrix Z = U (W P)[angle, freq] diag(M)^-1 every entry is
 
-    trace:          tr(X)
-    logdet:         tr(W^-1 X)
-    neg-trace-inv:  tr(W^-2 X)
+    upsilon_ab = -2 (Z_aa - Z_ab - Z_ba + Z_bb).
 
 Edges are ranked by |gradient| descending; the top-s edges form the
 modification set handed to the optimizer. The nearest-neighbor edge
@@ -140,23 +142,23 @@ def edge_direction_matrix(
     return F
 
 
-def _gradient_weights(W: np.ndarray, metric: GramianMetric) -> np.ndarray | None:
-    """Left factor G such that the metric gradient entry is tr(G X)."""
+def _gradient_weights(W: np.ndarray, metric: GramianMetric) -> np.ndarray:
+    """Adjoint right-hand side G such that the metric gradient is tr(G X)."""
     if metric is GramianMetric.TRACE:
-        return None
+        return np.eye(W.shape[0])
     W_inv, _ = spd_inverse_and_logdet(W)
     if metric is GramianMetric.LOG_DET:
         return W_inv
-    return W_inv @ W_inv
+    return W_inv @ W_inv  # solve_lyapunov symmetrizes the roundoff away
 
 
-def _entry_from_direction(
-    A: np.ndarray, W: np.ndarray, F: np.ndarray, G: np.ndarray | None
-) -> float:
-    X = solve_lyapunov(A, F @ W + W @ F.T)
-    if G is None:
-        return float(np.trace(X))
-    return float(np.trace(G @ X))
+def _ecm_matrix(sys: ReducedSystem, W: np.ndarray, metric: GramianMetric):
+    """All-pairs gradient matrix from one adjoint solve (module docstring)."""
+    N = sys.network.N
+    P = solve_lyapunov(sys.A.T, _gradient_weights(W, metric))
+    Z = sys.U @ (W @ P)[: N - 1, N - 1 :] / sys.network.M
+    d = np.diag(Z)
+    return -2.0 * (d[:, None] + d[None, :] - Z - Z.T)
 
 
 def ecm_entry(
@@ -165,11 +167,10 @@ def ecm_entry(
     """Sensitivity of one metric to one edge's coupling strength.
 
     ``W`` must be the infinite-horizon Gramian of ``sys`` (that pairing
-    is what makes the Lyapunov-solve shortcut equal the true gradient).
+    is what makes the adjoint shortcut equal the true gradient).
     """
-    F = edge_direction_matrix(sys, sys.network, edge)
-    G = _gradient_weights(np.asarray(W, dtype=float), metric)
-    return _entry_from_direction(sys.A, W, F, G)
+    full = _ecm_matrix(sys, np.asarray(W, dtype=float), metric)
+    return float(full[edge.i - 1, edge.j - 1])
 
 
 def _ranked(edges, impact_of) -> tuple[tuple[EdgeId, ...], np.ndarray]:
@@ -190,22 +191,19 @@ def build_ecm(
 ) -> EdgeCentralityReport:
     """Centrality values for every candidate edge, plus the ranking.
 
-    One Lyapunov solve per edge on top of the single Gramian solve.
+    One adjoint Lyapunov solve, whatever the number of candidate edges,
+    on top of the single Gramian solve.
     """
     if len(candidate) == 0:
         raise ValueError("candidate edge set is empty")
     for edge in candidate:
         if edge.i > net.N:
             raise ValueError(f"candidate edge {edge} out of range for N={net.N}")
-    W = gramian_infinite(sys).W
-    G = _gradient_weights(W, metric)
-    N = net.N
-    upsilon = np.zeros((N, N))
+    full = _ecm_matrix(sys, gramian_infinite(sys).W, metric)
+    upsilon = np.zeros_like(full)
     for edge in candidate:
-        F = edge_direction_matrix(sys, net, edge)
-        value = _entry_from_direction(sys.A, W, F, G)
-        upsilon[edge.i - 1, edge.j - 1] = value
-        upsilon[edge.j - 1, edge.i - 1] = value
+        a, b = edge.i - 1, edge.j - 1
+        upsilon[a, b] = upsilon[b, a] = full[a, b]
     impact = np.abs(upsilon)
     ranking, tau = _ranked(
         candidate.edges, lambda e: impact[e.i - 1, e.j - 1]

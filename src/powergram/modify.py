@@ -96,8 +96,8 @@ class ModificationProblem:
                 raise ValueError(f"edge {edge} out of range for N={self.net.N}")
         if not (isinstance(self.metric, GramianMetric)):
             raise ValueError(f"metric must be a GramianMetric, got {self.metric!r}")
-        if not self.beta >= 0:
-            raise ValueError(f"budget must be nonnegative, got {self.beta}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"budget must be finite, nonnegative, got {self.beta}")
         if not self.xi >= 1e6:
             raise ValueError(f"penalty constant must be >= 1e6, got {self.xi}")
         if self.parameterization not in ("sin", "sigmoid"):

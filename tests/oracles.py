@@ -3,9 +3,10 @@
 Everything here is deliberately naive and as different as possible from
 the library's production paths: the Lyapunov reference vectorizes the
 equation through a Kronecker product instead of a Schur reduction, the
-gradient reference uses central finite differences instead of auxiliary
-Lyapunov solves, steering is checked by fixed-step RK4 integration, and
-the modification matrix is rebuilt from an incidence factorization.
+gradient references use central finite differences or one Lyapunov solve
+per edge instead of the library's single adjoint solve, steering is
+checked by fixed-step RK4 integration, and the modification matrix is
+rebuilt from an incidence factorization.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from powergram import (
     EdgeId,
@@ -80,6 +82,31 @@ def fd_all_metric_gradients(
         GramianMetric.LOG_DET: d_logdet / (2.0 * delta),
         GramianMetric.NEG_TRACE_INV: d_neg_trace_inv / (2.0 * delta),
     }
+
+
+def per_edge_ecm_entry(
+    sys: ReducedSystem, edge: EdgeId, metric: GramianMetric
+) -> float:
+    """ECM entry from its own Lyapunov solve: tr(G X), with X = dW/dg.
+
+    X solves A X + X A^T + F W + W F^T = 0 for the direction F that one
+    unit of coupling on ``edge`` adds to A, and G is I, W^-1 or W^-2 for
+    trace, logdet and neg-trace-inv. This is the per-edge algorithm the
+    library replaced by a single adjoint solve; it calls scipy directly.
+    """
+    N = sys.network.N
+    W = sla.solve_continuous_lyapunov(sys.A, -sys.B @ sys.B.T)
+    e = np.zeros(N)
+    e[edge.i - 1], e[edge.j - 1] = 1.0, -1.0
+    F = np.zeros_like(sys.A)
+    F[N - 1 :, : N - 1] = -np.outer(e / sys.network.M, e @ sys.U)
+    X = sla.solve_continuous_lyapunov(sys.A, -(F @ W + W @ F.T))
+    if metric is GramianMetric.TRACE:
+        return float(np.trace(X))
+    W_inv = np.linalg.inv(W)
+    if metric is GramianMetric.LOG_DET:
+        return float(np.trace(W_inv @ X))
+    return float(np.trace(W_inv @ W_inv @ X))
 
 
 def rk4_steer(sys: ReducedSystem, x0: np.ndarray, t_f: float, u_grid: np.ndarray,

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_all_metric_gradients, random_connected_network
+import powergram.centrality
+from oracles import (
+    fd_all_metric_gradients,
+    per_edge_ecm_entry,
+    random_connected_network,
+)
 from powergram import (
     CandidateEdgeSet,
     CandidateKind,
@@ -169,6 +174,42 @@ class TestBuildEcm:
             )
         )
         assert report.ranking == expected
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_per_edge_solve_over_all_pairs(self, n):
+        # All pairs include generator pairs with no line, which the
+        # finite-difference oracle cannot reach: its -delta step would
+        # create a positive coupling.
+        rng = np.random.default_rng(n)
+        net = random_connected_network(rng, n)
+        sys = build_reduced_system(net)
+        candidate = CandidateEdgeSet.all_pairs(n)
+        for metric in GramianMetric:
+            report = build_ecm(sys, net, candidate, metric)
+            got = np.array([report.value(e) for e in candidate])
+            ref = np.array([per_edge_ecm_entry(sys, e, metric) for e in candidate])
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, all_pairs", [(3, False), (12, True)])
+    def test_one_adjoint_solve_per_build(self, monkeypatch, n, all_pairs):
+        real = powergram.centrality.solve_lyapunov
+        calls = []
+
+        def counting(A, Q):
+            calls.append(A.shape)
+            return real(A, Q)
+
+        monkeypatch.setattr(powergram.centrality, "solve_lyapunov", counting)
+        net = random_connected_network(np.random.default_rng(n), n)
+        candidate = (
+            CandidateEdgeSet.all_pairs(n)
+            if all_pairs
+            else CandidateEdgeSet.explicit([EdgeId(2, 1)])
+        )
+        for metric in GramianMetric:
+            calls.clear()
+            build_ecm(build_reduced_system(net), net, candidate, metric)
+            assert len(calls) == 1
 
     def test_ranking_invariant_under_impact_scaling(self, ieee9, ieee9_sys):
         # Rescaling all impacts by a positive factor preserves the order

@@ -300,6 +300,12 @@ class TestCliModify:
         assert main(["modify", "ieee9", "--out", str(out_dir), "--s", "9"]) == 2
         capsys.readouterr()
 
+    def test_infinite_budget_is_usage_error(self, out_dir, capsys):
+        code = main(["modify", "ieee9", "--out", str(out_dir), "--beta", "inf"])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (out_dir / "modification.json").exists()
+
     def test_rho_requires_admittance_data(self, out_dir, capsys):
         assert (
             main(["modify", "ieee9", "--out", str(out_dir), "--rho", "0.5"]) == 2
@@ -364,6 +370,12 @@ class TestCliOracle:
         )
         assert code == 5
         assert "exceed" in capsys.readouterr().err
+
+
+    def test_infinite_budget_is_usage_error(self, out_dir, capsys):
+        code = main(["oracle", "ieee9", "--out", str(out_dir), "--beta", "inf"])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
 
 
 def test_modify_does_not_import_scipy_optimize(tmp_path):
