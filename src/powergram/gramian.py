@@ -24,9 +24,11 @@ import scipy.linalg as sla
 
 from .errors import NotPositiveDefiniteError, NumericalError
 from .linalg import (
+    _cholesky,
+    _cholesky_logdet,
+    _cholesky_trace_inv,
     matrix_exponential,
     solve_lyapunov,
-    spd_inverse_and_logdet,
     spectral_abscissa,
     symmetrize,
 )
@@ -68,26 +70,28 @@ def metric_value(W: np.ndarray, kind: GramianMetric) -> float:
 
     Trace accepts any symmetric matrix; the other two require positive
     definiteness and raise :class:`NotPositiveDefiniteError` otherwise.
+    Both are read off one Cholesky factor W = L L^T: log det W is twice
+    the sum of log diag(L), and tr(W^-1) = ||L^-1||_F^2.
     """
     W = np.asarray(W, dtype=float)
     if kind is GramianMetric.TRACE:
         return float(np.trace(W))
-    W_inv, logdet = spd_inverse_and_logdet(W)
+    L = _cholesky(W)
     if kind is GramianMetric.LOG_DET:
-        return logdet
-    return float(-np.trace(W_inv))
+        return _cholesky_logdet(L)
+    return -_cholesky_trace_inv(L)
 
 
 def _all_metric_values(W: np.ndarray):
     values = {GramianMetric.TRACE: float(np.trace(W))}
     try:
-        W_inv, logdet = spd_inverse_and_logdet(W)
+        L = _cholesky(W)
     except NotPositiveDefiniteError:
         values[GramianMetric.LOG_DET] = math.nan
         values[GramianMetric.NEG_TRACE_INV] = math.nan
         return values, False
-    values[GramianMetric.LOG_DET] = logdet
-    values[GramianMetric.NEG_TRACE_INV] = float(-np.trace(W_inv))
+    values[GramianMetric.LOG_DET] = _cholesky_logdet(L)
+    values[GramianMetric.NEG_TRACE_INV] = -_cholesky_trace_inv(L)
     return values, True
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,42 @@ class TestMetricValue:
         assert metric_value(W, GramianMetric.TRACE) == 0.0
         for kind in (GramianMetric.LOG_DET, GramianMetric.NEG_TRACE_INV):
             with pytest.raises(NotPositiveDefiniteError):
+                metric_value(W, kind)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_explicit_inverse_formulas(self, seed):
+        # Reference: Cholesky, then the full inverse, its trace and the
+        # factor's log-diagonal, over condition numbers up to 1e10.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spectrum = np.geomspace(1.0, 10.0 ** -rng.uniform(0, 10), n)
+        W = (U * (spectrum * 10.0 ** rng.uniform(-3, 3))) @ U.T
+        W = 0.5 * (W + W.T)
+        c, lower = sla.cho_factor(W, lower=True)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+        W_inv = sla.cho_solve((c, lower), np.eye(n))
+        neg_trace_inv = -float(np.trace(0.5 * (W_inv + W_inv.T)))
+        assert metric_value(W, GramianMetric.LOG_DET) == pytest.approx(
+            logdet, rel=1e-12, abs=1e-12
+        )
+        assert metric_value(W, GramianMetric.NEG_TRACE_INV) == pytest.approx(
+            neg_trace_inv, rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "W, error",
+        [
+            (np.diag([1.0, 0.0]), NotPositiveDefiniteError),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefiniteError),
+            (np.array([[2.0, 0.5], [0.0, 2.0]]), ValueError),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError),
+            (np.eye(3)[:2], ValueError),
+        ],
+    )
+    def test_determinant_metrics_reject_bad_gramians(self, W, error):
+        for kind in (GramianMetric.LOG_DET, GramianMetric.NEG_TRACE_INV):
+            with pytest.raises(error):
                 metric_value(W, kind)
 
     def test_parse(self):

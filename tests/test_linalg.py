@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,48 @@ def test_lyapunov_rejects_non_hurwitz():
         solve_lyapunov(np.array([[0.0]]), np.array([[1.0]]))
     with pytest.raises(StabilityError):
         solve_lyapunov(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 40, 79])
+def test_lyapunov_matches_scipy_solver(n):
+    # scipy's own Bartels-Stewart solver as the oracle, over the state
+    # orders of the nine-bus case (5) and the synthetic networks (up to 79).
+    rng = np.random.default_rng(1000 + n)
+    A = random_hurwitz(rng, n)
+    B = rng.standard_normal((n, max(1, n // 3)))
+    Q = B @ B.T
+    X = solve_lyapunov(A, Q)
+    X_ref = sla.solve_continuous_lyapunov(A, -Q)
+    assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+    R = A @ X + X @ A.T + Q
+    scale = 2 * np.linalg.norm(A) * np.linalg.norm(X) + np.linalg.norm(Q)
+    assert np.linalg.norm(R) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lyapunov_stability_verdict_matches_eigvals(seed):
+    # The Hurwitz test reads the Schur form's eigenvalues; it must agree
+    # with eigvals whenever the abscissa is clear of roundoff.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    A = rng.standard_normal((n, n))
+    A -= (np.max(np.linalg.eigvals(A).real) - rng.uniform(-0.5, 0.5)) * np.eye(n)
+    alpha = float(np.max(np.linalg.eigvals(A).real))
+    if abs(alpha) <= 1e-6:
+        pytest.skip("abscissa within roundoff of the axis")
+    if alpha >= 0.0:
+        with pytest.raises(StabilityError):
+            solve_lyapunov(A, np.eye(n))
+    else:
+        assert np.all(np.isfinite(solve_lyapunov(A, np.eye(n))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lyapunov_rejects_non_finite_state_matrix(bad):
+    A = -np.eye(3)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_lyapunov(A, np.eye(3))
 
 
 def test_lyapunov_rejects_asymmetric_forcing():

@@ -1,10 +1,13 @@
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powergram.modify
 from oracles import incidence_delta
 from powergram import (
     DEFAULT_XI,
@@ -173,6 +176,28 @@ class TestPenalizedObjective:
         value = penalized_objective(problem, np.array([1.0, 1.0, 0.25]))
         assert value > -problem.xi
         assert math.isfinite(value)
+
+    def test_one_schur_factorization_per_evaluation(self, ieee9, monkeypatch):
+        # The Hurwitz test and the Gramian share one real Schur form, so
+        # neither a separate eigenvalue call nor scipy's Lyapunov solver
+        # (which factors A again) may run inside the objective. The
+        # context, which penalized_objective builds before it calls
+        # value, is built unpatched: it checks the base system with eigvals.
+        problem = ModificationProblem(
+            net=ieee9, edge_set=PAIR_21_31, metric=GramianMetric.LOG_DET, beta=1.0
+        )
+        eta = np.array([1.0, 1.0, 0.25])
+        expected = penalized_objective(problem, eta)
+        ctx = powergram.modify._ObjectiveContext(problem)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second factorization of the state matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
+        value = ctx.value(eta)
+        assert value == expected
+        assert math.isfinite(value) and value > -problem.xi
 
 
 class TestNelderMead:
@@ -442,3 +467,27 @@ class TestBruteForceOracle:
         assert 0.0 < summary.j_c <= 100.0
         # The candidate row is the matching enumerated combination.
         assert frozenset(summary.candidate[0]) == frozenset(problem.edge_set)
+
+    def test_best_candidate_scores_exactly_100(self, ieee9, monkeypatch):
+        # Improvements of the nine-bus neg-trace-inv run at s=2: the pick
+        # is the best subset, and (j - wcs) / (bcs - wcs) must not lose
+        # the last bit to roundoff on the way to J_V = 100.
+        candidate = CandidateEdgeSet.laplacian_support(ieee9)
+        problem = ModificationProblem(
+            net=ieee9, edge_set=PAIR_21_31, metric=GramianMetric.NEG_TRACE_INV,
+            beta=1.0,
+        )
+        improvements = {
+            frozenset(PAIR_21_31): 39.20060620435751,
+            frozenset((EdgeId(2, 1), EdgeId(3, 2))): 36.97948140736948,
+            frozenset((EdgeId(3, 1), EdgeId(3, 2))): 36.483135195192425,
+        }
+
+        def fake_optimize(p):
+            pct = improvements[frozenset(p.edge_set)]
+            return types.SimpleNamespace(improvement_pct=pct)
+
+        monkeypatch.setattr(powergram.modify, "optimize_modification", fake_optimize)
+        summary = brute_force_oracle(problem, candidate)
+        assert summary.bcs[1] == summary.candidate[1] == 39.20060620435751
+        assert summary.j_v == 100.0
