@@ -17,8 +17,12 @@ The feasible set is wrapped into an unconstrained problem in two steps:
 The search itself is a Nelder-Mead simplex with the standard
 reflection/expansion/contraction/shrink coefficients (1, 2, 0.5, 0.5),
 restarted from a fixed schedule of initial directions (uniform, the
-centrality gradient both ways, and seeded random unit vectors). gamma = 0
-is always feasible, so the optimizer never reports a regression.
+centrality gradient both ways, and seeded random unit vectors). A restart
+has converged when its vertices agree to 1e-10 and its values to 1e-10
+relative to the best value (at least 1e-10 absolute); it stops
+unconverged once the vertices are within 4 eps of each other, where
+roundoff leaves no step that moves the simplex. gamma = 0 is always
+feasible, so the optimizer never reports a regression.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .centrality import CandidateEdgeSet, ecm_entry, edge_direction_matrix
+from .centrality import CandidateEdgeSet, _ecm_matrix, edge_direction_matrix
 from .errors import (
     CombinationCapError,
     DegenerateDirectionError,
@@ -216,7 +220,9 @@ class _ObjectiveContext:
                 for edge in problem.edge_set
             ]
         )
-        self.g = np.array(
+        # Lower bounds gamma_k >= -g_k, negated once so that each
+        # evaluation tests them with one comparison.
+        self.neg_g = -np.array(
             [problem.net.edge_weight(edge) for edge in problem.edge_set]
         )
         self.base_gramian = gramian_infinite(self.sys0)
@@ -233,7 +239,7 @@ class _ObjectiveContext:
             gamma = parameterize(eta, p.beta, p.parameterization, p.chi)
         except DegenerateDirectionError:
             return -p.xi
-        if np.any(gamma + self.g < 0.0):
+        if (gamma < self.neg_g).any():
             return -p.xi
         try:
             W = _hurwitz_lyapunov(self.state_matrix(gamma), self.BBt)
@@ -274,10 +280,14 @@ def nelder_mead_maximize(
 
     Classic Nelder-Mead with reflection 1, expansion 2, contraction 0.5,
     shrink 0.5, started from the conventional simplex (each coordinate of
-    eta0 nudged by 5 percent, or 0.00025 when zero). Terminates when both
-    the function-value spread and the vertex spread fall below the
-    tolerances, or at the iteration cap (400 per dimension by default),
-    returning the best vertex seen and a convergence flag.
+    eta0 nudged by 5 percent, or 0.00025 when zero). The search has
+    converged when the vertex spread is below ``x_tol`` and the value
+    spread is below ``f_tol * max(1, |f_best|)``: the value tolerance is
+    relative, because an objective of size 1e4 carries roundoff far above
+    an absolute 1e-10. It stops unconverged when the vertex spread falls
+    to 4 eps * max(1, max|x_best|), where no step can move the simplex any
+    more, or at the iteration cap (400 per dimension by default). Either
+    way it returns the best vertex seen and the convergence flag.
     Hand-written because ``import scipy.optimize`` adds about 19 MB of
     resident memory and about 0.25 s to every CLI start for the same steps.
     """
@@ -294,32 +304,30 @@ def nelder_mead_maximize(
     def g(x: np.ndarray) -> float:
         return -float(f(x))
 
-    simplex = [x0]
+    # Row 0 is x0, row k + 1 nudges coordinate k.
+    simplex = np.tile(x0, (dim + 1, 1))
     for k in range(dim):
-        vertex = x0.copy()
-        if vertex[k] != 0.0:
-            vertex[k] *= 1.05
-        else:
-            vertex[k] = 0.00025
-        simplex.append(vertex)
-    values = [g(v) for v in simplex]
+        simplex[k + 1, k] = x0[k] * 1.05 if x0[k] != 0.0 else 0.00025
+    values = np.array([g(v) for v in simplex])
 
+    stall = 4.0 * np.finfo(float).eps
     iterations = 0
     converged = False
     while iterations < max_iter:
-        order = sorted(range(dim + 1), key=lambda k: values[k])
-        simplex = [simplex[k] for k in order]
-        values = [values[k] for k in order]
-        f_spread = max(abs(v - values[0]) for v in values[1:])
-        x_spread = max(
-            float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:]
-        )
-        if f_spread < f_tol and x_spread < x_tol:
+        order = values.argsort(kind="stable")
+        simplex, values = simplex[order], values[order]
+        # Sorted ascending and rounding is monotone, so the last
+        # difference is exactly the largest |v - v_best|.
+        f_spread = values[-1] - values[0]
+        x_spread = abs(simplex[1:] - simplex[0]).max()
+        if x_spread < x_tol and f_spread < f_tol * max(1.0, abs(values[0])):
             converged = True
+            break
+        if x_spread <= stall * max(1.0, abs(simplex[0]).max()):
             break
         iterations += 1
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].sum(axis=0) / dim
         worst = simplex[-1]
         reflected = 2.0 * centroid - worst
         fr = g(reflected)
@@ -336,36 +344,24 @@ def nelder_mead_maximize(
             if fr < values[-1]:
                 contracted = 1.5 * centroid - 0.5 * worst
                 fc = g(contracted)
-                if fc <= fr:
-                    simplex[-1], values[-1] = contracted, fc
-                else:
-                    simplex, values = _shrink(simplex, values, g)
+                accept = fc <= fr
             else:
                 contracted = 0.5 * centroid + 0.5 * worst
                 fc = g(contracted)
-                if fc < values[-1]:
-                    simplex[-1], values[-1] = contracted, fc
-                else:
-                    simplex, values = _shrink(simplex, values, g)
+                accept = fc < values[-1]
+            if accept:
+                simplex[-1], values[-1] = contracted, fc
+            else:
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = [g(v) for v in simplex[1:]]
 
     best = int(np.argmin(values))
     return NelderMeadResult(
         eta=simplex[best].copy(),
-        value=-values[best],
+        value=-float(values[best]),
         iterations=iterations,
         converged=converged,
     )
-
-
-def _shrink(simplex, values, g):
-    best = simplex[0]
-    new_simplex = [best]
-    new_values = [values[0]]
-    for vertex in simplex[1:]:
-        shrunk = best + 0.5 * (vertex - best)
-        new_simplex.append(shrunk)
-        new_values.append(g(shrunk))
-    return new_simplex, new_values
 
 
 def improvement_percent(before: float, after: float) -> float:
@@ -414,12 +410,8 @@ def _restart_directions(problem: ModificationProblem, ctx: _ObjectiveContext):
     s = problem.s
     rng = np.random.default_rng(problem.seed)
     directions = [np.full(s, 1.0 / math.sqrt(s))]
-    grad = np.array(
-        [
-            ecm_entry(ctx.sys0, ctx.base_gramian.W, edge, problem.metric)
-            for edge in problem.edge_set
-        ]
-    )
+    full = _ecm_matrix(ctx.sys0, ctx.base_gramian.W, problem.metric)
+    grad = np.array([full[edge.i - 1, edge.j - 1] for edge in problem.edge_set])
     norm = float(np.linalg.norm(grad))
     if norm > 0 and np.all(np.isfinite(grad)):
         directions.append(grad / norm)
@@ -430,6 +422,43 @@ def _restart_directions(problem: ModificationProblem, ctx: _ObjectiveContext):
         if norm > 1e-12:
             directions.append(v / norm)
     return directions[: problem.restarts]
+
+
+def _validated(
+    problem: ModificationProblem, gamma: np.ndarray, h_base: float,
+    iterations: int,
+) -> ModificationResult | None:
+    """Result for ``gamma`` re-checked through the public model path.
+
+    The network is rebuilt and its Gramian solved afresh; None unless
+    that confirms an improvement over ``h_base`` and ``gamma`` passes
+    ``modification_is_feasible``.
+    """
+    delta = delta_matrix(problem.edge_set, gamma, problem.net.N)
+    L_mod = problem.net.L + delta
+    try:
+        sys_mod = build_reduced_system(problem.net.with_laplacian(L_mod))
+        h_after = gramian_infinite(sys_mod).metric(problem.metric)
+    except PowergramError:
+        return None
+    if not (math.isfinite(h_after) and h_after > h_base):
+        return None
+    if not modification_is_feasible(
+        problem.net, problem.edge_set, gamma, problem.beta
+    ):
+        return None
+    return ModificationResult(
+        edge_set=problem.edge_set,
+        metric=problem.metric,
+        gamma=gamma,
+        delta=delta,
+        L_modified=L_mod,
+        metric_before=h_base,
+        metric_after=h_after,
+        improvement_pct=improvement_percent(h_base, h_after),
+        feasible=True,
+        iterations=iterations,
+    )
 
 
 def optimize_modification(
@@ -444,8 +473,10 @@ def optimize_modification(
     can never do worse than a smaller one).
 
     The winning gamma is re-validated through the public model path
-    (network rebuild, fresh Gramian); if that recomputation does not
-    confirm an improvement, the zero modification is returned instead.
+    (network rebuild, fresh Gramian). If that recomputation does not
+    confirm an improvement, or every restart was penalized, the warm
+    start itself is re-validated the same way and returned if it passes;
+    otherwise the zero modification is returned.
     """
     ctx = _ObjectiveContext(problem)
     h_base = ctx.h_base
@@ -477,13 +508,16 @@ def optimize_modification(
         np.append(direction, 0.5)
         for direction in _restart_directions(problem, ctx)
     ]
+    warm = None
     if warm_start_gamma is not None:
-        warm = np.asarray(warm_start_gamma, dtype=float)
+        warm = np.array(warm_start_gamma, dtype=float)
         norm = float(np.linalg.norm(warm))
         if warm.shape == (problem.s,) and norm > 0:
             ratio = min(1.0, norm / problem.beta)
             kappa = 2.0 / math.pi * math.asin(ratio)
             starts.append(np.append(warm / norm, kappa))
+        else:
+            warm = None
 
     best: NelderMeadResult | None = None
     total_iterations = 0
@@ -493,41 +527,23 @@ def optimize_modification(
         if best is None or outcome.value > best.value:
             best = outcome
 
-    # All restarts penalized out: nothing feasible beats doing nothing.
-    if best is None or best.value <= -problem.xi * 0.5:
-        return zero_result(total_iterations)
-
-    gamma = parameterize(
-        best.eta, problem.beta, problem.parameterization, problem.chi
-    )
-    norm = float(np.linalg.norm(gamma))
-    if norm > problem.beta:  # sin wraps, so only roundoff can land here
-        gamma *= problem.beta / norm
-    delta = delta_matrix(problem.edge_set, gamma, problem.net.N)
-    L_mod = problem.net.L + delta
-    try:
-        sys_mod = build_reduced_system(problem.net.with_laplacian(L_mod))
-        h_after = gramian_infinite(sys_mod).metric(problem.metric)
-    except PowergramError:
-        return zero_result(total_iterations)
-    if not (math.isfinite(h_after) and h_after > h_base):
-        return zero_result(total_iterations)
-    if not modification_is_feasible(
-        problem.net, problem.edge_set, gamma, problem.beta
-    ):
-        return zero_result(total_iterations)
-    return ModificationResult(
-        edge_set=problem.edge_set,
-        metric=problem.metric,
-        gamma=gamma,
-        delta=delta,
-        L_modified=L_mod,
-        metric_before=h_base,
-        metric_after=h_after,
-        improvement_pct=improvement_percent(h_base, h_after),
-        feasible=True,
-        iterations=total_iterations,
-    )
+    # A value at the penalty means every restart was penalized out.
+    if best is not None and best.value > -problem.xi * 0.5:
+        gamma = parameterize(
+            best.eta, problem.beta, problem.parameterization, problem.chi
+        )
+        norm = float(np.linalg.norm(gamma))
+        if norm > problem.beta:  # sin wraps, so only roundoff can land here
+            gamma *= problem.beta / norm
+        result = _validated(problem, gamma, h_base, total_iterations)
+        if result is not None:
+            return result
+    if warm is not None:
+        result = _validated(problem, warm, h_base, total_iterations)
+        if result is not None:
+            return result
+    # Nothing feasible beats doing nothing.
+    return zero_result(total_iterations)
 
 
 def random_edge_set(candidate: CandidateEdgeSet, s: int, seed: int):

@@ -6,7 +6,9 @@ equation through a Kronecker product instead of a Schur reduction, the
 gradient references use central finite differences or one Lyapunov solve
 per edge instead of the library's single adjoint solve, steering is
 checked by fixed-step RK4 integration, and the modification matrix is
-rebuilt from an incidence factorization.
+rebuilt from an incidence factorization. The Nelder-Mead reference is
+the list-of-vertices loop the library's array loop replaced, kept step
+for step so the two can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -107,6 +109,94 @@ def per_edge_ecm_entry(
     if metric is GramianMetric.LOG_DET:
         return float(np.trace(W_inv @ X))
     return float(np.trace(W_inv @ W_inv @ X))
+
+
+def list_nelder_mead(f, eta0, max_iter=None, f_tol=1e-10, x_tol=1e-10):
+    """Nelder-Mead maximization on a Python list of vertices.
+
+    The same steps, coefficients, initial simplex and stopping rule as
+    ``powergram.nelder_mead_maximize``: converged when the vertex spread
+    is below x_tol and the value spread below f_tol * max(1, |f_best|),
+    stalled (unconverged) when the vertex spread is at most
+    4 eps * max(1, max|x_best|). Returns (eta, value, iterations,
+    converged).
+    """
+    x0 = np.asarray(eta0, dtype=float).copy()
+    dim = x0.shape[0]
+    if max_iter is None:
+        max_iter = 400 * dim
+
+    def g(x):
+        return -float(f(x))
+
+    eps = np.finfo(float).eps
+    simplex = [x0]
+    for k in range(dim):
+        vertex = x0.copy()
+        if vertex[k] != 0.0:
+            vertex[k] *= 1.05
+        else:
+            vertex[k] = 0.00025
+        simplex.append(vertex)
+    values = [g(v) for v in simplex]
+
+    def shrink(simplex, values):
+        best = simplex[0]
+        new_simplex, new_values = [best], [values[0]]
+        for vertex in simplex[1:]:
+            shrunk = best + 0.5 * (vertex - best)
+            new_simplex.append(shrunk)
+            new_values.append(g(shrunk))
+        return new_simplex, new_values
+
+    iterations = 0
+    converged = False
+    while iterations < max_iter:
+        order = sorted(range(dim + 1), key=lambda k: values[k])
+        simplex = [simplex[k] for k in order]
+        values = [values[k] for k in order]
+        f_spread = max(abs(v - values[0]) for v in values[1:])
+        x_spread = max(
+            float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:]
+        )
+        if x_spread < x_tol and f_spread < f_tol * max(1.0, abs(values[0])):
+            converged = True
+            break
+        if x_spread <= 4.0 * eps * max(1.0, float(np.max(np.abs(simplex[0])))):
+            break
+        iterations += 1
+
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        reflected = 2.0 * centroid - worst
+        fr = g(reflected)
+        if fr < values[0]:
+            expanded = 3.0 * centroid - 2.0 * worst
+            fe = g(expanded)
+            if fe < fr:
+                simplex[-1], values[-1] = expanded, fe
+            else:
+                simplex[-1], values[-1] = reflected, fr
+        elif fr < values[-2]:
+            simplex[-1], values[-1] = reflected, fr
+        else:
+            if fr < values[-1]:
+                contracted = 1.5 * centroid - 0.5 * worst
+                fc = g(contracted)
+                if fc <= fr:
+                    simplex[-1], values[-1] = contracted, fc
+                else:
+                    simplex, values = shrink(simplex, values)
+            else:
+                contracted = 0.5 * centroid + 0.5 * worst
+                fc = g(contracted)
+                if fc < values[-1]:
+                    simplex[-1], values[-1] = contracted, fc
+                else:
+                    simplex, values = shrink(simplex, values)
+
+    best = int(np.argmin(values))
+    return simplex[best].copy(), -values[best], iterations, converged
 
 
 def rk4_steer(sys: ReducedSystem, x0: np.ndarray, t_f: float, u_grid: np.ndarray,

@@ -1,5 +1,6 @@
 import math
 import types
+import zlib
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powergram.centrality
 import powergram.modify
-from oracles import incidence_delta
+from oracles import incidence_delta, list_nelder_mead
 from powergram import (
     DEFAULT_XI,
     CandidateEdgeSet,
@@ -20,8 +22,10 @@ from powergram import (
     ModificationProblem,
     NumericalError,
     brute_force_oracle,
+    build_ecm,
     build_reduced_system,
     delta_matrix,
+    ecm_entry,
     gramian_infinite,
     improvement_percent,
     modification_is_feasible,
@@ -30,9 +34,35 @@ from powergram import (
     parameterize,
     penalized_objective,
     random_edge_set,
+    select_edge_set,
 )
 
 PAIR_21_31 = (EdgeId(2, 1), EdgeId(3, 1))
+
+
+def hash_noise(x: np.ndarray) -> float:
+    """Deterministic pseudo-noise in [-1, 1) keyed on the bits of x."""
+    return zlib.crc32(np.asarray(x, dtype=float).tobytes()) / 2.0**31 - 1.0
+
+
+def assert_matches_list_reference(f, eta0) -> None:
+    """The array loop and the list-loop reference agree bit for bit."""
+    res = nelder_mead_maximize(f, eta0)
+    eta, value, iterations, converged = list_nelder_mead(f, eta0)
+    assert np.array_equal(res.eta, eta)
+    assert res.value == value
+    assert (res.iterations, res.converged) == (iterations, converged)
+
+
+def ecm_problem(net, metric, s: int, beta: float) -> ModificationProblem:
+    """The problem ``modify`` poses: the top-s ECM lines of the support."""
+    report = build_ecm(
+        build_reduced_system(net), net,
+        CandidateEdgeSet.laplacian_support(net), metric,
+    )
+    return ModificationProblem(
+        net=net, edge_set=select_edge_set(report, s), metric=metric, beta=beta
+    )
 
 
 class TestDeltaMatrix:
@@ -231,6 +261,52 @@ class TestNelderMead:
         assert not res.converged
         assert res.iterations == 3
 
+    def test_large_objective_with_roundoff_noise_converges(self):
+        # Values near 1e4 with noise of 1e-12 relative: an absolute value
+        # tolerance of 1e-10 sits below that noise and never passes.
+        target = np.array([0.3, -0.7])
+
+        def f(x):
+            return 1e4 - float(np.sum((x - target) ** 2)) + 1e-8 * hash_noise(x)
+
+        res = nelder_mead_maximize(f, np.zeros(2))
+        assert res.converged
+        assert res.iterations < 800
+        assert np.allclose(res.eta, target, atol=1e-3)
+
+    def test_noise_on_collapsed_simplex_stops_unconverged(self):
+        # Noise of 0.1 never lets the value spread pass; the search stops
+        # once the vertices are within a few ulps, not at the cap.
+        res = nelder_mead_maximize(
+            lambda x: -float(np.sum(x**2)) + 0.1 * hash_noise(x),
+            np.array([1.0, 2.0]),
+            max_iter=800,
+        )
+        assert not res.converged
+        assert res.iterations < 800
+
+    @pytest.mark.parametrize(
+        "f, eta0",
+        [
+            (lambda x: -float(np.sum((x - np.arange(1.0, 5.0)) ** 2)), np.zeros(4)),
+            (
+                lambda x: -(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2),
+                np.array([-1.2, 1.0]),
+            ),
+            (lambda x: 1e4 + 1e-8 * hash_noise(x), np.array([0.5, 0.0, 1.0])),
+        ],
+        ids=["bowl", "rosenbrock", "noise"],
+    )
+    def test_matches_list_reference(self, f, eta0):
+        assert_matches_list_reference(f, eta0)
+
+    @pytest.mark.parametrize("metric", list(GramianMetric), ids=lambda m: m.value)
+    def test_matches_list_reference_on_nine_bus(self, ieee9, metric):
+        problem = ecm_problem(ieee9, metric, 2, 1.0)
+        ctx = powergram.modify._ObjectiveContext(problem)
+        for direction in powergram.modify._restart_directions(problem, ctx)[:2]:
+            assert_matches_list_reference(ctx.value, np.append(direction, 0.5))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             nelder_mead_maximize(lambda x: 0.0, np.zeros((2, 2)))
@@ -313,6 +389,58 @@ class TestOptimizeModification:
         )
         r_warm = optimize_modification(large, warm_start_gamma=r_small.gamma)
         assert r_warm.improvement_pct >= r_small.improvement_pct - 1e-9
+
+    def test_budget_sweep_past_line_cut_is_monotone(self, ieee9):
+        # At beta = 2 the best point the search finds fails re-validation;
+        # the warm start (beta = 1.5's answer) is still feasible and must
+        # be returned instead of the zero modification.
+        warm = None
+        improvements = []
+        for beta in (0.5, 1.0, 1.5, 2.0):
+            problem = ecm_problem(ieee9, GramianMetric.LOG_DET, 2, beta)
+            result = optimize_modification(problem, warm_start_gamma=warm)
+            assert result.feasible
+            assert modification_is_feasible(
+                ieee9, result.edge_set, result.gamma, beta
+            )
+            warm = result.gamma
+            improvements.append(result.improvement_pct)
+        for earlier, later in zip(improvements, improvements[1:]):
+            assert later >= earlier - 1e-9, improvements
+        assert improvements[-1] > 17.0, improvements
+
+    def test_trace_pair_stops_at_roundoff(self, ieee9):
+        # Trace is about 8.7e3, so restarts must not keep shrinking a
+        # collapsed simplex to the iteration cap (4745 iterations at an
+        # absolute value tolerance).
+        result = optimize_modification(
+            ecm_problem(ieee9, GramianMetric.TRACE, 2, 1.0)
+        )
+        assert result.iterations < 2400
+        assert result.improvement_pct == pytest.approx(0.7629507, rel=1e-6)
+
+    def test_restart_gradient_from_one_adjoint_solve(self, ieee9, monkeypatch):
+        problem = ModificationProblem(
+            net=ieee9, edge_set=PAIR_21_31, metric=GramianMetric.LOG_DET, beta=1.0
+        )
+        ctx = powergram.modify._ObjectiveContext(problem)
+        grad = np.array(
+            [
+                ecm_entry(ctx.sys0, ctx.base_gramian.W, edge, problem.metric)
+                for edge in PAIR_21_31
+            ]
+        )
+        real = powergram.centrality.solve_lyapunov
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(powergram.centrality, "solve_lyapunov", counting)
+        directions = powergram.modify._restart_directions(problem, ctx)
+        assert len(calls) == 1
+        assert np.array_equal(directions[1], grad / np.linalg.norm(grad))
 
     def test_problem_validation(self, ieee9):
         with pytest.raises(ValueError, match="at least one edge"):
