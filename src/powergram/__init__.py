@@ -25,7 +25,6 @@ from .linalg import (
     SpectralSummary,
     matrix_exponential,
     solve_lyapunov,
-    spd_inverse_and_logdet,
     spectral_abscissa,
     spectral_summary,
     symmetrize,
@@ -102,7 +101,6 @@ __all__ = [
     "spectral_abscissa",
     "solve_lyapunov",
     "matrix_exponential",
-    "spd_inverse_and_logdet",
     "symmetrize",
     # network model
     "EdgeId",

@@ -7,7 +7,9 @@ direction the state matrix moves when the edge strengthens, the
 Gramian's derivative X solves A X + X A^T + F W + W F^T = 0, and the
 metric gradient is tr(G X) with G = I (trace), W^-1 (logdet) or W^-2
 (neg-trace-inv). The adjoint identity tr(G X) = 2 tr(P F W), with
-A^T P + P A + G = 0, serves every edge from one solve: F is
+A^T P + P A + G = 0, serves every edge from one solve, which runs on the
+real Schur factor the reduced system already holds for its Hurwitz test
+and Gramian (so building the ECM factors A no further time): F is
 -M^-1 (e_a - e_b)(e_a - e_b)^T U in its frequency-by-angle block, so
 with the N x N matrix Z = U (W P)[angle, freq] diag(M)^-1 every entry is
 
@@ -27,7 +29,12 @@ from enum import Enum
 import numpy as np
 
 from .gramian import GramianMetric, gramian_infinite
-from .linalg import solve_lyapunov, spd_inverse_and_logdet
+from .linalg import (
+    _cholesky,
+    _cholesky_inverse,
+    _schur_lyapunov,
+    _symmetric_rhs,
+)
 from .network import EdgeId, GeneratorNetwork, ReducedSystem, edge_laplacian
 
 __all__ = [
@@ -143,19 +150,25 @@ def edge_direction_matrix(
 
 
 def _gradient_weights(W: np.ndarray, metric: GramianMetric) -> np.ndarray:
-    """Adjoint right-hand side G such that the metric gradient is tr(G X)."""
+    """Adjoint right-hand side G such that the metric gradient is tr(G X).
+
+    W^-1 = L^-T L^-1 comes from W's Cholesky factor L; a W that is not
+    symmetric positive definite raises as in :func:`metric_value`.
+    """
     if metric is GramianMetric.TRACE:
         return np.eye(W.shape[0])
-    W_inv, _ = spd_inverse_and_logdet(W)
+    L_inv = _cholesky_inverse(_cholesky(W))
+    W_inv = L_inv.T @ L_inv
     if metric is GramianMetric.LOG_DET:
         return W_inv
-    return W_inv @ W_inv  # solve_lyapunov symmetrizes the roundoff away
+    return W_inv @ W_inv  # the adjoint solve symmetrizes the roundoff away
 
 
 def _ecm_matrix(sys: ReducedSystem, W: np.ndarray, metric: GramianMetric):
     """All-pairs gradient matrix from one adjoint solve (module docstring)."""
     N = sys.network.N
-    P = solve_lyapunov(sys.A.T, _gradient_weights(W, metric))
+    G = _symmetric_rhs(_gradient_weights(W, metric), sys.order, "G")
+    P = _schur_lyapunov(sys.schur, G, adjoint=True)
     Z = sys.U @ (W @ P)[: N - 1, N - 1 :] / sys.network.M
     d = np.diag(Z)
     return -2.0 * (d[:, None] + d[None, :] - Z - Z.T)
@@ -192,7 +205,8 @@ def build_ecm(
     """Centrality values for every candidate edge, plus the ranking.
 
     One adjoint Lyapunov solve, whatever the number of candidate edges,
-    on top of the single Gramian solve.
+    on top of the system's Gramian (solved here unless the system already
+    holds it); both run on the system's one Schur factor of A.
     """
     if len(candidate) == 0:
         raise ValueError("candidate edge set is empty")

@@ -11,6 +11,12 @@ All three increase when the network becomes easier to steer, so edge
 modifications are judged by how much they raise the chosen metric. The
 finite-horizon Gramian supports the minimum-energy interpretation: the
 energy needed to drive x0 to the origin in time t_f is x0^T W(t_f)^-1 x0.
+
+Every solve here runs on the real Schur factor of A that a
+:class:`~powergram.network.ReducedSystem` holds, so neither Gramian nor
+the default horizon factors A again; a bare object with only ``A`` and
+``B`` is factored on each call. The infinite-horizon Gramian of a
+reduced system is solved once and then kept on the system.
 """
 
 from __future__ import annotations
@@ -24,13 +30,14 @@ import scipy.linalg as sla
 
 from .errors import NotPositiveDefiniteError, NumericalError
 from .linalg import (
+    RealSchur,
     _cholesky,
     _cholesky_logdet,
     _cholesky_trace_inv,
+    _real_schur,
+    _schur_lyapunov,
+    _symmetric_rhs,
     matrix_exponential,
-    solve_lyapunov,
-    spectral_abscissa,
-    symmetrize,
 )
 from .network import ReducedSystem
 
@@ -114,17 +121,31 @@ class GramianResult:
         return self.metric_values[kind]
 
 
+def _schur_of(sys) -> RealSchur:
+    """A's Schur factor: the one a reduced system holds, else a fresh one."""
+    if isinstance(sys, ReducedSystem):
+        return sys.schur
+    return _real_schur(sys.A)
+
+
 def gramian_infinite(sys: ReducedSystem) -> GramianResult:
     """Infinite-horizon controllability Gramian of the reduced system.
 
     Solves A W + W A^T + B B^T = 0; requires Hurwitz A (guaranteed for
-    systems built through the checked constructor).
+    systems built through the checked constructor). A reduced system
+    keeps its result, so later calls return the same object, with a
+    read-only ``W``.
     """
-    W = solve_lyapunov(sys.A, sys.B @ sys.B.T)
-    values, controllable = _all_metric_values(W)
-    return GramianResult(
-        W=W, horizon=math.inf, metric_values=values, controllable=controllable
-    )
+    memo = sys._memo if isinstance(sys, ReducedSystem) else {}
+    if "gramian" not in memo:
+        BBt = _symmetric_rhs(sys.B @ sys.B.T, sys.A.shape[0])
+        W = _schur_lyapunov(_schur_of(sys), BBt)
+        W.flags.writeable = False
+        values, controllable = _all_metric_values(W)
+        memo["gramian"] = GramianResult(
+            W=W, horizon=math.inf, metric_values=values, controllable=controllable
+        )
+    return memo["gramian"]
 
 
 def gramian_finite(sys: ReducedSystem, t_f: float) -> GramianResult:
@@ -135,7 +156,9 @@ def gramian_finite(sys: ReducedSystem, t_f: float) -> GramianResult:
     Q = B B^T - e^{A t_f} B B^T e^{A^T t_f}, which equals the integral of
     e^{A t} B B^T e^{A^T t} over [0, t_f]. The result is cross-checked
     against the infinite-horizon Gramian: W(t_f) must be dominated by
-    W(inf), otherwise the solve is declared inconsistent.
+    W(inf), otherwise the solve is declared inconsistent. For a reduced
+    system both solves run on its one Schur factor of A, and W(inf) is
+    the Gramian it keeps.
     """
     t_f = float(t_f)
     if not t_f > 0:
@@ -144,9 +167,9 @@ def gramian_finite(sys: ReducedSystem, t_f: float) -> GramianResult:
         return gramian_infinite(sys)
     BBt = sys.B @ sys.B.T
     E = matrix_exponential(sys.A, t_f)
-    Q = BBt - E @ BBt @ E.T
-    W = solve_lyapunov(sys.A, symmetrize(Q))
-    W_inf = solve_lyapunov(sys.A, BBt)
+    Q = _symmetric_rhs(BBt - E @ BBt @ E.T, sys.A.shape[0])
+    W = _schur_lyapunov(_schur_of(sys), Q)
+    W_inf = gramian_infinite(sys).W
     gap = float(np.min(np.linalg.eigvalsh(W_inf - W)))
     if gap < -1e-9:
         raise NumericalError(
@@ -161,7 +184,7 @@ def gramian_finite(sys: ReducedSystem, t_f: float) -> GramianResult:
 
 def default_horizon(sys: ReducedSystem) -> float:
     """Steering horizon used by the energy experiments: -1/alpha(A)."""
-    return -1.0 / spectral_abscissa(sys.A)
+    return -1.0 / _schur_of(sys).abscissa
 
 
 def _gramian_cholesky(sys: ReducedSystem, t_f: float):

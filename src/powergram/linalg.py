@@ -6,10 +6,14 @@ optimization) goes through these functions so that precondition checks
 and failure mapping live in exactly one place.
 
 The Lyapunov solver is Bartels-Stewart (CACM 15(9), 1972): one real
-Schur factorization A = Z T Z^T (``dgees``) gives both the Hurwitz test,
-read from the eigenvalues on T's diagonal, and the solve, a triangular
-Sylvester equation in T (``dtrsyl``). The SPD metrics read log det W
-and tr(W^-1) off one Cholesky factor W = L L^T without forming W^-1.
+Schur factorization A = Z T Z^T (``dgees``), kept as a :class:`RealSchur`,
+gives the Hurwitz test, read from the eigenvalues on T's diagonal, and
+any number of solves, each a triangular Sylvester equation in T
+(``dtrsyl``). The same factor solves the adjoint equation
+A^T P + P A + G = 0 as T^T Y + Y T = -Z^T G Z, so a reduced system's
+Gramians and its edge-centrality adjoint all share one factorization.
+The SPD metrics read log det W and tr(W^-1) off one Cholesky factor
+W = L L^T without forming W^-1.
 
 All matrices are plain ``numpy.ndarray`` in float64; none of the sizes
 involved here justify anything fancier.
@@ -18,6 +22,7 @@ involved here justify anything fancier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,12 +31,12 @@ from scipy.linalg.lapack import dgees, dpotrf, dtrsyl, dtrtri
 from .errors import NotPositiveDefiniteError, NumericalError, StabilityError
 
 __all__ = [
+    "RealSchur",
     "SpectralSummary",
     "spectral_summary",
     "spectral_abscissa",
     "solve_lyapunov",
     "matrix_exponential",
-    "spd_inverse_and_logdet",
     "symmetrize",
 ]
 
@@ -80,25 +85,75 @@ def _no_sort(wr, wi) -> int:
     return 0
 
 
-def _hurwitz_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve ``A X + X A^T + Q = 0`` if ``A`` is Hurwitz, else raise.
+class RealSchur(NamedTuple):
+    """Real Schur factorization A = Z T Z^T of a square real matrix.
 
-    ``Q`` must already be square, finite and symmetric. One ``dgees``
-    call gives A = Z T Z^T and the eigenvalues whose largest real part is
-    the Hurwitz test; ``dtrsyl`` then solves T Y + Y T^T = -Z^T Q Z, and
-    X = Z Y Z^T. ``lwork = 3n`` is ``dgees``'s documented minimum, which
-    spares the workspace query.
+    ``T`` is quasi-upper-triangular and ``Z`` orthogonal; ``wr`` and
+    ``wi`` are the real and imaginary parts of A's eigenvalues, read off
+    T's diagonal blocks. A named tuple rather than a frozen dataclass,
+    because the optimizer's objective builds one per evaluation and the
+    tuple is several times cheaper to construct.
     """
-    if not np.isfinite(A).all():
-        raise ValueError("A contains non-finite entries")
+
+    T: np.ndarray
+    Z: np.ndarray
+    wr: np.ndarray
+    wi: np.ndarray
+
+    @property
+    def abscissa(self) -> float:
+        """Largest real part over the spectrum; negative iff A is Hurwitz."""
+        return float(self.wr.max())
+
+    @property
+    def spectral_radius(self) -> float:
+        return float(np.hypot(self.wr, self.wi).max())
+
+
+def _real_schur(A) -> RealSchur:
+    """One ``dgees`` call on a square, finite ``A``.
+
+    ``lwork = 3n`` is ``dgees``'s documented minimum, which spares the
+    workspace query.
+    """
+    A = _as_square(A, "A")
     n = A.shape[0]
-    T, _, wr, _, Z, _, info = dgees(_no_sort, A, lwork=max(1, 3 * n))
+    T, _, wr, wi, Z, _, info = dgees(_no_sort, A, lwork=max(1, 3 * n))
     if info != 0:
         raise NumericalError(f"Schur factorization failed (dgees info {info})")
-    alpha = float(wr.max())
+    return RealSchur(T, Z, wr, wi)
+
+
+def _symmetric_rhs(Q, n: int, name: str = "Q") -> np.ndarray:
+    """Symmetric part of a right-hand side that is square, finite, n x n
+    and symmetric up to roundoff; ``ValueError`` otherwise."""
+    Q = _as_square(Q, name)
+    if Q.shape != (n, n):
+        raise ValueError(f"shape mismatch: A {(n, n)} vs {name} {Q.shape}")
+    scale = max(1.0, float(np.max(np.abs(Q))))
+    if np.max(np.abs(Q - Q.T)) > 1e-10 * scale:
+        raise ValueError(f"{name} must be symmetric")
+    return symmetrize(Q)
+
+
+def _schur_lyapunov(
+    S: RealSchur, Q: np.ndarray, adjoint: bool = False
+) -> np.ndarray:
+    """Solve ``A X + X A^T + Q = 0`` on A's factor if A is Hurwitz, else raise.
+
+    With ``adjoint`` it solves ``A^T X + X A + Q = 0`` instead. ``Q`` must
+    already be square, finite and symmetric. ``dtrsyl`` solves
+    T Y + Y T^T = -Z^T Q Z (or T^T Y + Y T = -Z^T Q Z), and X = Z Y Z^T.
+    """
+    alpha = S.abscissa
     if not alpha < 0.0:
         raise StabilityError(f"A is not Hurwitz (spectral abscissa {alpha:.6g})")
-    Y, scale, info = dtrsyl(T, T, -(Z.T @ (Q @ Z)), tranb="T")
+    T, Z = S.T, S.Z
+    C = -(Z.T @ (Q @ Z))
+    if adjoint:
+        Y, scale, info = dtrsyl(T, T, C, trana="T")
+    else:
+        Y, scale, info = dtrsyl(T, T, C, tranb="T")
     if info != 0:
         raise NumericalError(f"Lyapunov solve failed (dtrsyl info {info})")
     Y /= scale  # dtrsyl scales its right-hand side down to avoid overflow
@@ -109,6 +164,15 @@ def _hurwitz_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return symmetrize(X)
 
 
+def _hurwitz_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve ``A X + X A^T + Q = 0`` if ``A`` is Hurwitz, else raise.
+
+    ``Q`` must already be square, finite and symmetric. One ``dgees``
+    call gives both the Hurwitz test and the factor the solve runs on.
+    """
+    return _schur_lyapunov(_real_schur(A), Q)
+
+
 def solve_lyapunov(A, Q) -> np.ndarray:
     """Solve ``A X + X A^T + Q = 0`` for symmetric ``Q``, Hurwitz ``A``.
 
@@ -117,14 +181,8 @@ def solve_lyapunov(A, Q) -> np.ndarray:
     Hurwitz (the equation is then singular or the solution loses its
     Gramian meaning) and ``ValueError`` if ``Q`` is visibly asymmetric.
     """
-    A = _as_square(A, "A")
-    Q = _as_square(Q, "Q")
-    if A.shape != Q.shape:
-        raise ValueError(f"shape mismatch: A {A.shape} vs Q {Q.shape}")
-    scale = max(1.0, float(np.max(np.abs(Q))))
-    if np.max(np.abs(Q - Q.T)) > 1e-10 * scale:
-        raise ValueError("Q must be symmetric")
-    return _hurwitz_lyapunov(A, symmetrize(Q))
+    S = _real_schur(A)
+    return _schur_lyapunov(S, _symmetric_rhs(Q, S.T.shape[0]))
 
 
 def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
@@ -166,23 +224,17 @@ def _cholesky_logdet(L: np.ndarray) -> float:
     return 2.0 * float(np.log(L.diagonal()).sum())
 
 
-def _cholesky_trace_inv(L: np.ndarray) -> float:
-    """tr((L L^T)^-1) = ||L^-1||_F^2 from one triangular inverse."""
+def _cholesky_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower Cholesky factor, from one triangular inverse."""
     L_inv, info = dtrtri(L, lower=1)
     if info != 0:
         raise NotPositiveDefiniteError(
             f"Cholesky factor is singular at diagonal entry {info}"
         )
+    return L_inv
+
+
+def _cholesky_trace_inv(L: np.ndarray) -> float:
+    """tr((L L^T)^-1) = ||L^-1||_F^2 from one triangular inverse."""
+    L_inv = _cholesky_inverse(L)
     return float(np.vdot(L_inv, L_inv))
-
-
-def spd_inverse_and_logdet(W):
-    """Invert a symmetric positive definite matrix and get its log-determinant.
-
-    Returns ``(W_inv, logdet)`` computed from one Cholesky factorization,
-    which is both cheaper and far better conditioned than ``det``.
-    Failure to factor raises :class:`NotPositiveDefiniteError`.
-    """
-    L = _cholesky(W)
-    W_inv = sla.cho_solve((L, True), np.eye(L.shape[0]), check_finite=False)
-    return symmetrize(W_inv), _cholesky_logdet(L)

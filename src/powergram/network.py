@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ModelError, StabilityError
-from .linalg import spectral_summary
+from .linalg import RealSchur, _real_schur
 
 __all__ = [
     "EdgeId",
@@ -214,6 +214,12 @@ class ReducedSystem:
     ``A`` is (2N-1)x(2N-1), ``B`` is (2N-1)xN; ``T = blockdiag(U, I_N)``
     maps reduced coordinates back to (angles, frequencies). The source
     network is kept so downstream analyses can reach M, D, L.
+
+    ``schur`` holds A's real Schur factor A = Z T Z^T, computed once on
+    construction: the Hurwitz test, both Gramians and the edge-centrality
+    adjoint all read it. ``A`` and ``B`` are private read-only copies, so
+    the factor, and the Gramian that :func:`~powergram.gramian_infinite`
+    keeps here once solved, cannot go stale.
     """
 
     A: np.ndarray
@@ -221,6 +227,15 @@ class ReducedSystem:
     T: np.ndarray
     U: np.ndarray
     network: GeneratorNetwork
+    schur: RealSchur = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("A", "B"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "schur", _real_schur(self.A))
 
     @property
     def order(self) -> int:
@@ -282,18 +297,18 @@ def build_reduced_system(net: GeneratorNetwork) -> ReducedSystem:
     """
     U, T = build_projection(net.N)
     A, B = reduced_pair(net.M, net.D, net.L, U)
-    summary = spectral_summary(A)
+    sys = ReducedSystem(A=A, B=B, T=T, U=U, network=net)
     # A disconnected network leaves an exact zero eigenvalue that the
     # eigensolver may round to either side of the axis, so the Hurwitz
     # test needs a margin relative to the spectral radius.
-    margin = 1e-12 * max(1.0, float(np.max(np.abs(summary.eigenvalues))))
-    if not summary.abscissa < -margin:
+    margin = 1e-12 * max(1.0, sys.schur.spectral_radius)
+    if not sys.schur.abscissa < -margin:
         raise StabilityError(
             f"reduced state matrix is not Hurwitz (spectral abscissa "
-            f"{summary.abscissa:.6g}); check damping signs and Laplacian "
+            f"{sys.schur.abscissa:.6g}); check damping signs and Laplacian "
             "connectivity"
         )
-    return ReducedSystem(A=A, B=B, T=T, U=U, network=net)
+    return sys
 
 
 def _phase_shift(y: complex, row: int, col: int) -> float:

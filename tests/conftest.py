@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import powergram.linalg
 from powergram import (
     GeneratorNetwork,
     build_reduced_system,
@@ -54,3 +55,45 @@ def toy3_path(toy3):
     )
     L = np.diag(G.sum(axis=1)) - G
     return GeneratorNetwork(M=toy3.M, D=toy3.D, L=L)
+
+
+class LapackCalls:
+    """Schur factorizations and Sylvester solves made through powergram.linalg.
+
+    ``dgees`` holds a copy of each factored matrix, ``dtrsyl`` the
+    ``trana`` flag of each triangular solve ("T" marks an adjoint solve
+    A^T P + P A + G = 0), and ``eigvals`` counts ``np.linalg.eigvals`` calls.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.dgees = []
+        self.dtrsyl = []
+        self.eigvals = 0
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    calls = LapackCalls()
+    real_dgees = powergram.linalg.dgees
+    real_dtrsyl = powergram.linalg.dtrsyl
+    real_eigvals = np.linalg.eigvals
+
+    def dgees(select, A, *args, **kwargs):
+        calls.dgees.append(np.array(A))
+        return real_dgees(select, A, *args, **kwargs)
+
+    def dtrsyl(*args, **kwargs):
+        calls.dtrsyl.append(kwargs.get("trana", "N"))
+        return real_dtrsyl(*args, **kwargs)
+
+    def eigvals(A):
+        calls.eigvals += 1
+        return real_eigvals(A)
+
+    monkeypatch.setattr(powergram.linalg, "dgees", dgees)
+    monkeypatch.setattr(powergram.linalg, "dtrsyl", dtrsyl)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    return calls

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import powergram.centrality
 from oracles import (
     fd_all_metric_gradients,
     per_edge_ecm_entry,
@@ -191,15 +190,9 @@ class TestBuildEcm:
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n, all_pairs", [(3, False), (12, True)])
-    def test_one_adjoint_solve_per_build(self, monkeypatch, n, all_pairs):
-        real = powergram.centrality.solve_lyapunov
-        calls = []
-
-        def counting(A, Q):
-            calls.append(A.shape)
-            return real(A, Q)
-
-        monkeypatch.setattr(powergram.centrality, "solve_lyapunov", counting)
+    def test_one_adjoint_solve_per_build(self, lapack_calls, n, all_pairs):
+        # The system's one Schur factor serves the Gramian and the adjoint:
+        # one dgees in all, then one forward and one adjoint triangular solve.
         net = random_connected_network(np.random.default_rng(n), n)
         candidate = (
             CandidateEdgeSet.all_pairs(n)
@@ -207,9 +200,12 @@ class TestBuildEcm:
             else CandidateEdgeSet.explicit([EdgeId(2, 1)])
         )
         for metric in GramianMetric:
-            calls.clear()
-            build_ecm(build_reduced_system(net), net, candidate, metric)
-            assert len(calls) == 1
+            lapack_calls.clear()
+            sys = build_reduced_system(net)
+            build_ecm(sys, net, candidate, metric)
+            assert len(lapack_calls.dgees) == 1
+            assert np.array_equal(lapack_calls.dgees[0], sys.A)
+            assert lapack_calls.dtrsyl == ["N", "T"]
 
     def test_ranking_invariant_under_impact_scaling(self, ieee9, ieee9_sys):
         # Rescaling all impacts by a positive factor preserves the order

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import powergram
+from oracles import random_connected_network
 from powergram import (
     ModelError,
     ReducedAdmittanceData,
     __version__,
+    build_reduced_system,
     ingest,
     laplacian_from_admittance,
     save_network,
@@ -478,6 +480,29 @@ class TestCliDamping:
         )
         table = (out_dir / "damping.csv").read_text()
         assert "original" in table and "modified" in table
+
+
+class TestOneSchurFactorPerSystem:
+    """A CLI answer factors its reduced state matrix exactly once."""
+
+    def test_analyze(self, tmp_path, out_dir, lapack_calls):
+        path = tmp_path / "net12.json"
+        save_network(random_connected_network(np.random.default_rng(12), 12), path)
+        A = build_reduced_system(ingest(path)).A
+        lapack_calls.clear()
+        assert main(["analyze", str(path), "--out", str(out_dir)]) == 0
+        assert len(lapack_calls.dgees) == 1
+        assert np.array_equal(lapack_calls.dgees[0], A)
+        assert lapack_calls.eigvals == 0
+
+    def test_energy(self, out_dir, lapack_calls):
+        A = build_reduced_system(ingest(bundled_network_path("ieee9"))).A
+        lapack_calls.clear()
+        code = main(["energy", "ieee9", "--out", str(out_dir), "--samples", "100"])
+        assert code == 0
+        assert len(lapack_calls.dgees) == 1
+        assert np.array_equal(lapack_calls.dgees[0], A)
+        assert lapack_calls.eigvals == 0
 
 
 class TestCliTopLevel:

@@ -6,16 +6,18 @@ from hypothesis import strategies as st
 
 from oracles import kron_lyapunov_solve, random_hurwitz
 from powergram import (
+    GramianMetric,
     NotPositiveDefiniteError,
     NumericalError,
     StabilityError,
     matrix_exponential,
+    metric_value,
     solve_lyapunov,
-    spd_inverse_and_logdet,
     spectral_abscissa,
     spectral_summary,
     symmetrize,
 )
+from powergram.centrality import _gradient_weights
 
 seed_ints = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -196,16 +198,24 @@ def test_expm_overflow_reported():
         matrix_exponential(np.array([[1000.0]]), t=1000.0)
 
 
+# The ECM's adjoint right-hand side is the only place an SPD inverse is
+# formed: W^-1 for logdet and W^-2 for neg-trace-inv, from W's Cholesky
+# factor.
 def test_spd_inverse_identity():
-    W_inv, logdet = spd_inverse_and_logdet(np.eye(4))
-    assert np.array_equal(W_inv, np.eye(4))
-    assert logdet == 0.0
+    for metric in GramianMetric:
+        assert np.array_equal(_gradient_weights(np.eye(4), metric), np.eye(4))
+    assert metric_value(np.eye(4), GramianMetric.LOG_DET) == 0.0
 
 
 def test_spd_inverse_diagonal():
-    W_inv, logdet = spd_inverse_and_logdet(np.diag([2.0, 0.5]))
+    W = np.diag([2.0, 0.5])
+    W_inv = _gradient_weights(W, GramianMetric.LOG_DET)
     assert np.allclose(W_inv, np.diag([0.5, 2.0]), atol=1e-15)
-    assert logdet == pytest.approx(np.log(2.0) + np.log(0.5), abs=1e-15)
+    W_inv2 = _gradient_weights(W, GramianMetric.NEG_TRACE_INV)
+    assert np.allclose(W_inv2, np.diag([0.25, 4.0]), atol=1e-15)
+    assert metric_value(W, GramianMetric.LOG_DET) == pytest.approx(
+        np.log(2.0) + np.log(0.5), abs=1e-15
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,20 +225,26 @@ def test_spd_inverse_matches_generic_routines(seed):
     n = int(rng.integers(2, 8))
     R = rng.standard_normal((n, n))
     W = R @ R.T + n * np.eye(n)
-    W_inv, logdet = spd_inverse_and_logdet(W)
+    W_inv = _gradient_weights(W, GramianMetric.LOG_DET)
     assert np.linalg.norm(W @ W_inv - np.eye(n)) <= 1e-9
+    W_inv2 = _gradient_weights(W, GramianMetric.NEG_TRACE_INV)
+    assert np.linalg.norm(W @ W @ W_inv2 - np.eye(n)) <= 1e-9
     sign, ref = np.linalg.slogdet(W)
     assert sign == 1.0
-    assert logdet == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    assert metric_value(W, GramianMetric.LOG_DET) == pytest.approx(
+        ref, rel=1e-12, abs=1e-12
+    )
 
 
 def test_spd_inverse_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        spd_inverse_and_logdet(np.diag([1.0, -1.0]))
-    with pytest.raises(NotPositiveDefiniteError):
-        spd_inverse_and_logdet(np.zeros((2, 2)))
+    for metric in (GramianMetric.LOG_DET, GramianMetric.NEG_TRACE_INV):
+        with pytest.raises(NotPositiveDefiniteError):
+            _gradient_weights(np.diag([1.0, -1.0]), metric)
+        with pytest.raises(NotPositiveDefiniteError):
+            _gradient_weights(np.zeros((2, 2)), metric)
 
 
 def test_spd_inverse_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        spd_inverse_and_logdet(np.array([[1.0, 0.3], [0.0, 1.0]]))
+    for metric in (GramianMetric.LOG_DET, GramianMetric.NEG_TRACE_INV):
+        with pytest.raises(ValueError):
+            _gradient_weights(np.array([[1.0, 0.3], [0.0, 1.0]]), metric)

@@ -13,6 +13,7 @@ from powergram import (
     build_projection,
     build_reduced_system,
     edge_laplacian,
+    gramian_infinite,
     laplacian_from_admittance,
     recover_modified_admittance,
     reduced_pair,
@@ -142,6 +143,19 @@ def test_reduced_system_shape_and_stability(ieee9, ieee9_sys):
     assert ieee9_sys.B.shape == (2 * n - 1, n)
     assert spectral_abscissa(ieee9_sys.A) < 0
     assert ieee9_sys.network is ieee9
+
+
+def test_reduced_system_arrays_are_read_only(toy3):
+    # The system keeps A's Schur factor and its Gramian, so an in-place
+    # write to A, B or the kept W would leave them stale.
+    sys = build_reduced_system(toy3)
+    gram = gramian_infinite(sys)
+    assert gramian_infinite(sys) is gram
+    for arr in (sys.A, sys.B, gram.W):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    Z, T = sys.schur.Z, sys.schur.T
+    assert np.linalg.norm(sys.A - Z @ T @ Z.T) <= 1e-13 * np.linalg.norm(sys.A)
 
 
 def test_reduced_system_matches_literal_projection(toy3):
