@@ -43,7 +43,6 @@ from .gramian import (
     default_horizon,
     gramian_finite,
     gramian_infinite,
-    metric_value,
     sample_energy_costs,
     slowest_oscillatory_mode,
 )
@@ -255,11 +254,8 @@ def cmd_modify(args) -> int:
         _problem(args, net, edge_set, metric, args.beta)
     )
 
-    damping_before = damping_report(sys.A)
-    sys_after = build_reduced_system(net.with_laplacian(result.L_modified))
-    damping_after = damping_report(sys_after.A)
-    slow_before = slowest_oscillatory_mode(damping_before)
-    slow_after = slowest_oscillatory_mode(damping_after)
+    slow_before = slowest_oscillatory_mode(damping_report(sys.A))
+    slow_after = slowest_oscillatory_mode(damping_report(result.system.A))
 
     config = _config_dict(args)
     out = _out_dir(args)
@@ -282,8 +278,7 @@ def cmd_modify(args) -> int:
         body["recovered_admittance"] = _recovered_admittance(net, result, args.rho)
 
     write_json_report(out / "modification.json", _report_payload(config, body))
-    modified = net.with_laplacian(result.L_modified)
-    save_network(modified, out / "modified_network.json")
+    save_network(result.system.network, out / "modified_network.json")
 
     if args.beta_sweep:
         rows = []
@@ -359,12 +354,13 @@ def cmd_energy(args) -> int:
         if not t_f > 0:
             raise ValueError(f"--tf must be positive, got {t_f}")
 
-    tr_inv_finite = -metric_value(
-        gramian_finite(sys, t_f).W, GramianMetric.NEG_TRACE_INV
-    )
-    tr_inv_infinite = -metric_value(
-        gramian_infinite(sys).W, GramianMetric.NEG_TRACE_INV
-    )
+    finite = gramian_finite(sys, t_f)
+    if not finite.controllable:
+        raise NumericalError(
+            f"Gramian at horizon {t_f:.6g} is not positive definite"
+        )
+    tr_inv_finite = -finite.metric(GramianMetric.NEG_TRACE_INV)
+    tr_inv_infinite = -gramian_infinite(sys).metric(GramianMetric.NEG_TRACE_INV)
     config = _config_dict(args)
     out = _out_dir(args)
     body = {

@@ -15,8 +15,8 @@ energy needed to drive x0 to the origin in time t_f is x0^T W(t_f)^-1 x0.
 Every solve here runs on the real Schur factor of A that a
 :class:`~powergram.network.ReducedSystem` holds, so neither Gramian nor
 the default horizon factors A again; a bare object with only ``A`` and
-``B`` is factored on each call. The infinite-horizon Gramian of a
-reduced system is solved once and then kept on the system.
+``B`` is factored on each call. A reduced system keeps its
+infinite-horizon Gramian and its most recent finite-horizon one.
 """
 
 from __future__ import annotations
@@ -89,19 +89,6 @@ def metric_value(W: np.ndarray, kind: GramianMetric) -> float:
     return -_cholesky_trace_inv(L)
 
 
-def _all_metric_values(W: np.ndarray):
-    values = {GramianMetric.TRACE: float(np.trace(W))}
-    try:
-        L = _cholesky(W)
-    except NotPositiveDefiniteError:
-        values[GramianMetric.LOG_DET] = math.nan
-        values[GramianMetric.NEG_TRACE_INV] = math.nan
-        return values, False
-    values[GramianMetric.LOG_DET] = _cholesky_logdet(L)
-    values[GramianMetric.NEG_TRACE_INV] = -_cholesky_trace_inv(L)
-    return values, True
-
-
 @dataclass(frozen=True)
 class GramianResult:
     """A controllability Gramian with its horizon and metric values.
@@ -119,6 +106,21 @@ class GramianResult:
 
     def metric(self, kind: GramianMetric) -> float:
         return self.metric_values[kind]
+
+
+def _gramian_result(W: np.ndarray, horizon: float) -> GramianResult:
+    """``W``, made read-only, with its horizon and all three metric values."""
+    W.flags.writeable = False
+    values = {GramianMetric.TRACE: float(np.trace(W))}
+    try:
+        L = _cholesky(W)
+    except NotPositiveDefiniteError:
+        values[GramianMetric.LOG_DET] = math.nan
+        values[GramianMetric.NEG_TRACE_INV] = math.nan
+        return GramianResult(W, horizon, values, controllable=False)
+    values[GramianMetric.LOG_DET] = _cholesky_logdet(L)
+    values[GramianMetric.NEG_TRACE_INV] = -_cholesky_trace_inv(L)
+    return GramianResult(W, horizon, values, controllable=True)
 
 
 def _schur_of(sys) -> RealSchur:
@@ -140,11 +142,7 @@ def gramian_infinite(sys: ReducedSystem) -> GramianResult:
     if "gramian" not in memo:
         BBt = _symmetric_rhs(sys.B @ sys.B.T, sys.A.shape[0])
         W = _schur_lyapunov(_schur_of(sys), BBt)
-        W.flags.writeable = False
-        values, controllable = _all_metric_values(W)
-        memo["gramian"] = GramianResult(
-            W=W, horizon=math.inf, metric_values=values, controllable=controllable
-        )
+        memo["gramian"] = _gramian_result(W, math.inf)
     return memo["gramian"]
 
 
@@ -156,30 +154,32 @@ def gramian_finite(sys: ReducedSystem, t_f: float) -> GramianResult:
     Q = B B^T - e^{A t_f} B B^T e^{A^T t_f}, which equals the integral of
     e^{A t} B B^T e^{A^T t} over [0, t_f]. The result is cross-checked
     against the infinite-horizon Gramian: W(t_f) must be dominated by
-    W(inf), otherwise the solve is declared inconsistent. For a reduced
-    system both solves run on its one Schur factor of A, and W(inf) is
-    the Gramian it keeps.
+    W(inf) up to 1e-9 max|W(inf)|, otherwise the solve is declared
+    inconsistent. For a reduced system both solves run on its one Schur
+    factor of A, W(inf) is the Gramian it keeps, and the result for the
+    most recent horizon is kept too, with a read-only ``W``.
     """
     t_f = float(t_f)
     if not t_f > 0:
         raise ValueError(f"horizon must be positive, got {t_f}")
     if math.isinf(t_f):
         return gramian_infinite(sys)
+    memo = sys._memo if isinstance(sys, ReducedSystem) else {}
+    if "finite" in memo and memo["finite"].horizon == t_f:
+        return memo["finite"]
     BBt = sys.B @ sys.B.T
     E = matrix_exponential(sys.A, t_f)
     Q = _symmetric_rhs(BBt - E @ BBt @ E.T, sys.A.shape[0])
     W = _schur_lyapunov(_schur_of(sys), Q)
     W_inf = gramian_infinite(sys).W
     gap = float(np.min(np.linalg.eigvalsh(W_inf - W)))
-    if gap < -1e-9:
+    if gap < -1e-9 * float(np.max(np.abs(W_inf))):
         raise NumericalError(
             f"finite-horizon Gramian exceeds the infinite-horizon one "
             f"(ordering violated by {-gap:.3e}); Lyapunov solve inconsistent"
         )
-    values, controllable = _all_metric_values(W)
-    return GramianResult(
-        W=W, horizon=t_f, metric_values=values, controllable=controllable
-    )
+    memo["finite"] = _gramian_result(W, t_f)
+    return memo["finite"]
 
 
 def default_horizon(sys: ReducedSystem) -> float:
@@ -188,13 +188,8 @@ def default_horizon(sys: ReducedSystem) -> float:
 
 
 def _gramian_cholesky(sys: ReducedSystem, t_f: float):
-    W = gramian_finite(sys, t_f).W
-    try:
-        return sla.cho_factor(W, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"Gramian at horizon {t_f:.6g} is not positive definite: {exc}"
-        ) from exc
+    """W(t_f)'s lower Cholesky factor, in the (factor, lower) form of cho_solve."""
+    return _cholesky(gramian_finite(sys, t_f).W), True
 
 
 def minimum_energy_cost(sys: ReducedSystem, x0, t_f: float) -> float:

@@ -14,6 +14,9 @@ The feasible set is wrapped into an unconstrained problem in two steps:
   bounds) are enforced by a penalty: infeasible eta score -xi with xi
   huge, so the simplex search retreats from them on its own.
 
+The winner is re-checked by one feasibility predicate, which builds the
+modified network once; the result carries that validated system.
+
 The search itself is a Nelder-Mead simplex with the standard
 reflection/expansion/contraction/shrink coefficients (1, 2, 0.5, 0.5),
 restarted from a fixed schedule of initial directions (uniform, the
@@ -46,6 +49,7 @@ from .linalg import _hurwitz_lyapunov
 from .network import (
     EdgeId,
     GeneratorNetwork,
+    ReducedSystem,
     build_reduced_system,
     edge_laplacian,
 )
@@ -68,7 +72,7 @@ __all__ = [
 
 # Practical infinity for the constraint penalty.
 DEFAULT_XI = 1e10
-# Feasibility slack on the returned modification vector.
+# Slack on the budget when a modification vector is checked for feasibility.
 FEASIBILITY_SLACK = 1e-9
 # Default cap on exhaustive enumeration; past this the problem is
 # declared out of brute-force reach rather than silently running for days.
@@ -123,7 +127,11 @@ class ModificationProblem:
 
 @dataclass(frozen=True)
 class ModificationResult:
-    """Outcome of one optimization run, already re-validated end to end."""
+    """Outcome of one optimization run, already re-validated end to end.
+
+    ``system`` is the modified network's validated reduced system (the
+    base system for the zero modification).
+    """
 
     edge_set: tuple[EdgeId, ...]
     metric: GramianMetric
@@ -135,6 +143,7 @@ class ModificationResult:
     improvement_pct: float
     feasible: bool
     iterations: int
+    system: ReducedSystem
 
 
 @dataclass(frozen=True)
@@ -373,6 +382,21 @@ def improvement_percent(before: float, after: float) -> float:
     return 100.0 * (after - before) / abs(before)
 
 
+def _feasible_system(net, edge_set, gamma, beta: float) -> ReducedSystem | None:
+    """The modified reduced system, or None if ``gamma`` is infeasible."""
+    edges = tuple(edge_set)
+    gamma = np.asarray(gamma, dtype=float)
+    if float(np.linalg.norm(gamma)) > beta + FEASIBILITY_SLACK:
+        return None
+    if (gamma < -np.array([net.edge_weight(e) for e in edges])).any():
+        return None
+    L_mod = net.L + delta_matrix(edges, gamma, net.N)
+    try:
+        return build_reduced_system(net.with_laplacian(L_mod))
+    except PowergramError:
+        return None
+
+
 def modification_is_feasible(
     net: GeneratorNetwork,
     edge_set,
@@ -381,22 +405,11 @@ def modification_is_feasible(
 ) -> bool:
     """Check the three feasibility conditions of a modification vector.
 
-    Budget ||gamma|| <= beta, per-edge lower bounds gamma_k >= -g_k, and
-    stability of the modified network, all with a 1e-9 slack.
+    Budget ||gamma|| <= beta with a 1e-9 slack; lower bounds gamma_k >= -g_k
+    with none, the comparison the objective makes; and stability of the
+    modified network as ``build_reduced_system`` decides it.
     """
-    edges = tuple(edge_set)
-    gamma = np.asarray(gamma, dtype=float)
-    if float(np.linalg.norm(gamma)) > beta + FEASIBILITY_SLACK:
-        return False
-    weights = np.array([net.edge_weight(e) for e in edges])
-    if np.any(gamma + weights < -FEASIBILITY_SLACK):
-        return False
-    L_mod = net.L + delta_matrix(edges, gamma, net.N)
-    try:
-        build_reduced_system(net.with_laplacian(L_mod))
-    except PowergramError:
-        return False
-    return True
+    return _feasible_system(net, edge_set, gamma, beta) is not None
 
 
 def _restart_directions(problem: ModificationProblem, ctx: _ObjectiveContext):
@@ -430,34 +443,30 @@ def _validated(
 ) -> ModificationResult | None:
     """Result for ``gamma`` re-checked through the public model path.
 
-    The network is rebuilt and its Gramian solved afresh; None unless
-    that confirms an improvement over ``h_base`` and ``gamma`` passes
-    ``modification_is_feasible``.
+    None unless ``gamma`` is feasible and the modified network, built
+    once, confirms an improvement over ``h_base`` with a fresh Gramian.
     """
-    delta = delta_matrix(problem.edge_set, gamma, problem.net.N)
-    L_mod = problem.net.L + delta
+    sys_mod = _feasible_system(problem.net, problem.edge_set, gamma, problem.beta)
+    if sys_mod is None:
+        return None
     try:
-        sys_mod = build_reduced_system(problem.net.with_laplacian(L_mod))
         h_after = gramian_infinite(sys_mod).metric(problem.metric)
     except PowergramError:
         return None
     if not (math.isfinite(h_after) and h_after > h_base):
         return None
-    if not modification_is_feasible(
-        problem.net, problem.edge_set, gamma, problem.beta
-    ):
-        return None
     return ModificationResult(
         edge_set=problem.edge_set,
         metric=problem.metric,
         gamma=gamma,
-        delta=delta,
-        L_modified=L_mod,
+        delta=delta_matrix(problem.edge_set, gamma, problem.net.N),
+        L_modified=sys_mod.network.L,
         metric_before=h_base,
         metric_after=h_after,
         improvement_pct=improvement_percent(h_base, h_after),
         feasible=True,
         iterations=iterations,
+        system=sys_mod,
     )
 
 
@@ -473,7 +482,7 @@ def optimize_modification(
     can never do worse than a smaller one).
 
     The winning gamma is re-validated through the public model path
-    (network rebuild, fresh Gramian). If that recomputation does not
+    (feasibility, network build, fresh Gramian). If that does not
     confirm an improvement, or every restart was penalized, the warm
     start itself is re-validated the same way and returned if it passes;
     otherwise the zero modification is returned.
@@ -487,11 +496,10 @@ def optimize_modification(
         )
 
     def zero_result(iterations: int) -> ModificationResult:
-        s = problem.s
         return ModificationResult(
             edge_set=problem.edge_set,
             metric=problem.metric,
-            gamma=np.zeros(s),
+            gamma=np.zeros(problem.s),
             delta=np.zeros((problem.net.N, problem.net.N)),
             L_modified=problem.net.L.copy(),
             metric_before=h_base,
@@ -499,6 +507,7 @@ def optimize_modification(
             improvement_pct=0.0,
             feasible=True,
             iterations=iterations,
+            system=ctx.sys0,
         )
 
     if problem.beta == 0.0:

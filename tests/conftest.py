@@ -62,7 +62,8 @@ class LapackCalls:
 
     ``dgees`` holds a copy of each factored matrix, ``dtrsyl`` the
     ``trana`` flag of each triangular solve ("T" marks an adjoint solve
-    A^T P + P A + G = 0), and ``eigvals`` counts ``np.linalg.eigvals`` calls.
+    A^T P + P A + G = 0), ``eigvals`` counts ``np.linalg.eigvals`` calls
+    and ``expm`` the matrix exponentials.
     """
 
     def __init__(self):
@@ -72,6 +73,7 @@ class LapackCalls:
         self.dgees = []
         self.dtrsyl = []
         self.eigvals = 0
+        self.expm = 0
 
 
 @pytest.fixture
@@ -80,6 +82,7 @@ def lapack_calls(monkeypatch):
     real_dgees = powergram.linalg.dgees
     real_dtrsyl = powergram.linalg.dtrsyl
     real_eigvals = np.linalg.eigvals
+    real_expm = powergram.linalg.sla.expm
 
     def dgees(select, A, *args, **kwargs):
         calls.dgees.append(np.array(A))
@@ -93,7 +96,12 @@ def lapack_calls(monkeypatch):
         calls.eigvals += 1
         return real_eigvals(A)
 
+    def expm(A):
+        calls.expm += 1
+        return real_expm(A)
+
     monkeypatch.setattr(powergram.linalg, "dgees", dgees)
+    monkeypatch.setattr(powergram.linalg.sla, "expm", expm)
     monkeypatch.setattr(powergram.linalg, "dtrsyl", dtrsyl)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     return calls

@@ -503,6 +503,38 @@ class TestOneSchurFactorPerSystem:
         assert len(lapack_calls.dgees) == 1
         assert np.array_equal(lapack_calls.dgees[0], A)
         assert lapack_calls.eigvals == 0
+        # W(t_f) is solved once, for the report and the samples alike.
+        assert lapack_calls.expm == 1
+        assert lapack_calls.dtrsyl == ["N", "N"]
+
+
+def test_modify_builds_each_system_once(out_dir, monkeypatch):
+    """Base system for the ranking and the objective, modified one once."""
+    builds = []
+    results = []
+    real_build = powergram.network.build_reduced_system
+    real_optimize = powergram.cli.optimize_modification
+
+    def build(net):
+        builds.append(net)
+        return real_build(net)
+
+    def optimize(*args, **kwargs):
+        results.append(real_optimize(*args, **kwargs))
+        return results[-1]
+
+    for module in (powergram.network, powergram.modify, powergram.cli):
+        monkeypatch.setattr(module, "build_reduced_system", build)
+    monkeypatch.setattr(powergram.cli, "optimize_modification", optimize)
+    code = main(
+        ["modify", "ieee9", "--out", str(out_dir), "--metric", "logdet", "--s", "1"]
+    )
+    assert code == 0
+    assert len(builds) == 3
+    (result,) = results
+    assert result.system.network is builds[-1]
+    assert np.array_equal(result.system.network.L, result.L_modified)
+    assert not result.system.A.flags.writeable
 
 
 class TestCliTopLevel:

@@ -6,10 +6,18 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bare_system, kron_lyapunov_solve, rk4_steer
+import powergram.gramian
+from oracles import (
+    bare_system,
+    kron_lyapunov_solve,
+    random_connected_network,
+    rk4_steer,
+)
 from powergram import (
     GramianMetric,
     NotPositiveDefiniteError,
+    NumericalError,
+    build_reduced_system,
     damping_ratio,
     damping_report,
     default_horizon,
@@ -135,6 +143,35 @@ class TestGramianFinite:
         W = gramian_finite(ieee9_sys, t_f).W
         W_inf = gramian_infinite(ieee9_sys).W
         assert np.min(np.linalg.eigvalsh(W_inf - W)) >= -1e-9 * np.max(np.abs(W_inf))
+
+    def test_ordering_check_scales_with_the_gramian(self):
+        # max|W(inf)| is about 1.9e3 here; the roundoff violation of about
+        # 2.8e-9 (1.5e-12 relative) must not read as an inconsistent solve.
+        net = random_connected_network(np.random.default_rng(2), 40)
+        sys = build_reduced_system(net)
+        W_inf = gramian_infinite(sys).W
+        W = gramian_finite(sys, 12.0).W
+        gap = np.min(np.linalg.eigvalsh(W_inf - W))
+        assert gap >= -1e-11 * np.max(np.abs(W_inf))
+
+    def test_gramian_above_infinite_horizon_raises(self, monkeypatch):
+        net = random_connected_network(np.random.default_rng(3), 5)
+        sys = build_reduced_system(net)
+        gramian_infinite(sys)  # kept on the system, so the patch below misses it
+        real = powergram.gramian._schur_lyapunov
+        monkeypatch.setattr(
+            powergram.gramian, "_schur_lyapunov", lambda S, Q: 1.01 * real(S, Q)
+        )
+        with pytest.raises(NumericalError, match="ordering violated"):
+            gramian_finite(sys, 2000.0)
+
+    def test_last_horizon_is_kept(self, ieee9_sys):
+        first = gramian_finite(ieee9_sys, 3.0)
+        assert gramian_finite(ieee9_sys, 3.0) is first
+        assert not first.W.flags.writeable
+        other = gramian_finite(ieee9_sys, 4.0)
+        assert other is not first
+        assert gramian_finite(ieee9_sys, 4.0) is other
 
     def test_infinite_horizon_delegates(self, ieee9_sys):
         res = gramian_finite(ieee9_sys, math.inf)

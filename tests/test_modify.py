@@ -512,6 +512,19 @@ class TestFeasibilityCheck:
     def test_zero_is_always_feasible(self, ieee9):
         assert modification_is_feasible(ieee9, PAIR_21_31, np.zeros(2), beta=0.0)
 
+    def test_cutting_a_line_exactly_is_feasible(self, ieee9):
+        g = ieee9.edge_weight(EdgeId(3, 1))
+        assert modification_is_feasible(
+            ieee9, (EdgeId(3, 1),), np.array([-g]), beta=2.0
+        )
+
+    def test_lower_bound_has_no_slack(self, ieee9):
+        # The objective compares gamma < -g exactly, and so does the check.
+        g = ieee9.edge_weight(EdgeId(3, 1))
+        assert not modification_is_feasible(
+            ieee9, (EdgeId(3, 1),), np.array([-g - 1e-13]), beta=2.0
+        )
+
 
 class TestRandomEdgeSet:
     def test_deterministic_and_in_candidate_order(self, ieee9):
