@@ -7,14 +7,15 @@ The pipeline, end to end:
 2. rank edges by the sensitivity of a controllability metric to their
    coupling strength (one adjoint Lyapunov solve for all edges);
 3. optimize a budgeted susceptance modification on the top-ranked edges
-   with a penalized multi-start simplex search;
+   with multi-start projected gradient ascent, where every line keeps at
+   least eps = 1e-3 of its coupling (``COUPLING_FLOOR``), so a budget
+   past a line's cut stops at that floor;
 4. judge the pick against the exhaustive best/worst subsets, minimum
    steering energy, and pole damping.
 """
 
 from .errors import (
     CombinationCapError,
-    DegenerateDirectionError,
     ModelError,
     NotPositiveDefiniteError,
     NumericalError,
@@ -66,19 +67,16 @@ from .centrality import (
     select_edge_set,
 )
 from .modify import (
-    DEFAULT_XI,
+    COUPLING_FLOOR,
+    AscentRecord,
     ModificationProblem,
     ModificationResult,
-    NelderMeadResult,
     OracleSummary,
     brute_force_oracle,
     delta_matrix,
     improvement_percent,
     modification_is_feasible,
-    nelder_mead_maximize,
     optimize_modification,
-    parameterize,
-    penalized_objective,
     random_edge_set,
 )
 from .io import bundled_network_path, ingest, save_network, serialize_network
@@ -93,7 +91,6 @@ __all__ = [
     "StabilityError",
     "NumericalError",
     "NotPositiveDefiniteError",
-    "DegenerateDirectionError",
     "CombinationCapError",
     # linear algebra kernel
     "SpectralSummary",
@@ -136,15 +133,12 @@ __all__ = [
     "select_edge_set",
     "nnec_report",
     # modification optimizer
-    "DEFAULT_XI",
+    "COUPLING_FLOOR",
+    "AscentRecord",
     "ModificationProblem",
     "ModificationResult",
     "OracleSummary",
-    "NelderMeadResult",
     "delta_matrix",
-    "parameterize",
-    "penalized_objective",
-    "nelder_mead_maximize",
     "optimize_modification",
     "improvement_percent",
     "modification_is_feasible",

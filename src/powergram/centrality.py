@@ -149,15 +149,18 @@ def edge_direction_matrix(
     return F
 
 
-def _gradient_weights(W: np.ndarray, metric: GramianMetric) -> np.ndarray:
+def _gradient_weights(
+    W: np.ndarray, metric: GramianMetric, L: np.ndarray | None = None
+) -> np.ndarray:
     """Adjoint right-hand side G such that the metric gradient is tr(G X).
 
-    W^-1 = L^-T L^-1 comes from W's Cholesky factor L; a W that is not
-    symmetric positive definite raises as in :func:`metric_value`.
+    W^-1 = L^-T L^-1 comes from W's Cholesky factor L, factored here
+    unless the caller already holds it; a W that is not symmetric positive
+    definite raises as in :func:`metric_value`.
     """
     if metric is GramianMetric.TRACE:
         return np.eye(W.shape[0])
-    L_inv = _cholesky_inverse(_cholesky(W))
+    L_inv = _cholesky_inverse(_cholesky(W) if L is None else L)
     W_inv = L_inv.T @ L_inv
     if metric is GramianMetric.LOG_DET:
         return W_inv

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,7 @@ from .io import (
     write_json_report,
 )
 from .modify import (
+    COUPLING_FLOOR,
     ModificationProblem,
     ModificationResult,
     brute_force_oracle,
@@ -154,8 +156,6 @@ def _problem(args, net, edge_set, metric, beta: float) -> ModificationProblem:
         edge_set=edge_set,
         metric=metric,
         beta=beta,
-        parameterization=args.param,
-        chi=args.chi,
         restarts=args.restarts,
         seed=args.seed,
     )
@@ -242,16 +242,17 @@ def cmd_modify(args) -> int:
     net, metric, sys, _, report = _rank_edges(args)
     edge_set = select_edge_set(report, args.s)
 
-    min_g = min(net.edge_weight(e) for e in edge_set)
-    if args.beta <= min_g:
+    min_floor = (1.0 - COUPLING_FLOOR) * min(net.edge_weight(e) for e in edge_set)
+    if args.beta <= min_floor:
         print(
-            f"note: budget beta={args.beta:g} <= min coupling {min_g:g} on the "
-            "selected edges; the per-edge lower bounds can never bind",
+            f"note: budget beta={args.beta:g} <= (1 - {COUPLING_FLOOR:g}) x min "
+            f"coupling = {min_floor:g} on the selected edges; the per-edge "
+            "coupling floors can never bind",
             file=_sys.stderr,
         )
 
     result = optimize_modification(
-        _problem(args, net, edge_set, metric, args.beta)
+        _problem(args, net, edge_set, metric, args.beta), base_system=sys
     )
 
     slow_before = slowest_oscillatory_mode(damping_report(sys.A))
@@ -270,6 +271,8 @@ def cmd_modify(args) -> int:
         "improvement_pct": result.improvement_pct,
         "feasible": result.feasible,
         "iterations": result.iterations,
+        "restarts": [asdict(record) for record in result.restarts],
+        "fallback_reason": result.fallback_reason,
         "slow_mode_zeta_before": slow_before[1],
         "slow_mode_zeta_after": slow_after[1],
         "slow_mode_zeta_delta": slow_after[1] - slow_before[1],
@@ -286,7 +289,9 @@ def cmd_modify(args) -> int:
         for beta_k in np.linspace(args.beta / args.beta_sweep, args.beta,
                                   args.beta_sweep):
             step = _problem(args, net, edge_set, metric, float(beta_k))
-            step_result = optimize_modification(step, warm_start_gamma=warm)
+            step_result = optimize_modification(
+                step, warm_start_gamma=warm, base_system=sys
+            )
             warm = step_result.gamma
             rows.append((float(beta_k), step_result.improvement_pct))
         _write_table(out, "beta_sweep", args.format, config,
@@ -303,10 +308,10 @@ def cmd_modify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    net, metric, _, candidate, report = _rank_edges(args)
+    net, metric, sys, candidate, report = _rank_edges(args)
     edge_set = select_edge_set(report, args.s)
     problem = _problem(args, net, edge_set, metric, args.beta)
-    summary = brute_force_oracle(problem, candidate, cap=args.cap)
+    summary = brute_force_oracle(problem, candidate, cap=args.cap, base_system=sys)
 
     config = _config_dict(args)
     out = _out_dir(args)
@@ -453,10 +458,6 @@ def _add_optimizer_opts(p: argparse.ArgumentParser) -> None:
                    help="restart RNG seed (default: 0)")
     p.add_argument("--restarts", type=int, default=8,
                    help="multi-start count (default: 8)")
-    p.add_argument("--param", choices=["sin", "sigmoid"], default="sin",
-                   help="budget parameterization (default: sin)")
-    p.add_argument("--chi", type=float, default=1.0,
-                   help="sigmoid slope when --param sigmoid (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,9 +31,5 @@ class NotPositiveDefiniteError(NumericalError):
     """A matrix required to be symmetric positive definite is not."""
 
 
-class DegenerateDirectionError(ValueError):
-    """A direction vector that must be nonzero is zero."""
-
-
 class CombinationCapError(PowergramError):
     """Exhaustive enumeration would exceed the configured cap."""

@@ -80,13 +80,17 @@ def metric_value(W: np.ndarray, kind: GramianMetric) -> float:
     Both are read off one Cholesky factor W = L L^T: log det W is twice
     the sum of log diag(L), and tr(W^-1) = ||L^-1||_F^2.
     """
-    W = np.asarray(W, dtype=float)
+    return _factored_metric(np.asarray(W, dtype=float), kind)[0]
+
+
+def _factored_metric(W: np.ndarray, kind: GramianMetric):
+    """:func:`metric_value` with the Cholesky factor it read (None for trace)."""
     if kind is GramianMetric.TRACE:
-        return float(np.trace(W))
+        return float(np.trace(W)), None
     L = _cholesky(W)
     if kind is GramianMetric.LOG_DET:
-        return _cholesky_logdet(L)
-    return -_cholesky_trace_inv(L)
+        return _cholesky_logdet(L), L
+    return -_cholesky_trace_inv(L), L
 
 
 @dataclass(frozen=True)

@@ -164,15 +164,6 @@ def _schur_lyapunov(
     return symmetrize(X)
 
 
-def _hurwitz_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve ``A X + X A^T + Q = 0`` if ``A`` is Hurwitz, else raise.
-
-    ``Q`` must already be square, finite and symmetric. One ``dgees``
-    call gives both the Hurwitz test and the factor the solve runs on.
-    """
-    return _schur_lyapunov(_real_schur(A), Q)
-
-
 def solve_lyapunov(A, Q) -> np.ndarray:
     """Solve ``A X + X A^T + Q = 0`` for symmetric ``Q``, Hurwitz ``A``.
 

@@ -1,31 +1,31 @@
-"""Budgeted edge modification via penalized derivative-free search.
+"""Budgeted edge modification via projected gradient ascent.
 
 The design problem: pick susceptance changes gamma on a small set of
-edges, with Euclidean budget ||gamma|| <= beta and per-edge lower bounds
-gamma_k >= -g_k (a line's coupling cannot go negative), to maximize a
-controllability metric of the modified network.
+edges, with Euclidean budget ||gamma|| <= beta, to maximize a
+controllability metric of the modified network. Each line keeps a floor
+on its coupling: gamma_k >= -(1 - eps) g_k with eps = COUPLING_FLOOR =
+1e-3, so a line can be weakened to a thousandth of its coupling but never
+cut. Every point of this feasible set leaves the coupling graph as
+connected as it was, so every modified system is stable and the metric
+is finite and smooth on the whole set. A budget past a line's cut
+therefore ends at that line's floor instead of at a disconnected network
+whose log det W is unbounded.
 
-The feasible set is wrapped into an unconstrained problem in two steps:
-
-* the sphere constraint disappears through the parameterization
-  gamma = beta * sin(pi kappa / 2) * nu / ||nu||, optimized over
-  eta = (nu, kappa);
-* the remaining constraints (stability of the modified system, lower
-  bounds) are enforced by a penalty: infeasible eta score -xi with xi
-  huge, so the simplex search retreats from them on its own.
+The search is spectral projected gradient ascent (Birgin, Martinez and
+Raydan, SIAM J. Optim. 10(4), 2000): Barzilai-Borwein steps with Armijo
+backtracking along the projection arc, where the projection onto the
+ball-and-box set is exact. The gradient is the edge centrality of the
+modified network, dh/dgamma_k = 2 tr(P F_k W), which costs one adjoint
+Lyapunov solve on the Schur factor the value evaluation already made.
+Restarts run from a fixed schedule of initial directions (uniform, the
+centrality gradient both ways, and seeded random unit vectors), each
+started at the projection of beta/sqrt(2) times the direction; a start
+equal to an earlier one is skipped.
 
 The winner is re-checked by one feasibility predicate, which builds the
 modified network once; the result carries that validated system.
-
-The search itself is a Nelder-Mead simplex with the standard
-reflection/expansion/contraction/shrink coefficients (1, 2, 0.5, 0.5),
-restarted from a fixed schedule of initial directions (uniform, the
-centrality gradient both ways, and seeded random unit vectors). A restart
-has converged when its vertices agree to 1e-10 and its values to 1e-10
-relative to the best value (at least 1e-10 absolute); it stops
-unconverged once the vertices are within 4 eps of each other, where
-roundoff leaves no step that moves the simplex. gamma = 0 is always
-feasible, so the optimizer never reports a regression.
+gamma = 0 is always feasible, so the optimizer never reports a
+regression.
 """
 
 from __future__ import annotations
@@ -33,19 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
-from .centrality import CandidateEdgeSet, _ecm_matrix, edge_direction_matrix
-from .errors import (
-    CombinationCapError,
-    DegenerateDirectionError,
-    NumericalError,
-    PowergramError,
-)
-from .gramian import GramianMetric, gramian_infinite, metric_value
-from .linalg import _hurwitz_lyapunov
+from .centrality import CandidateEdgeSet, _gradient_weights, edge_direction_matrix
+from .errors import CombinationCapError, NumericalError, PowergramError
+from .gramian import GramianMetric, _factored_metric, gramian_infinite
+from .linalg import RealSchur, _real_schur, _schur_lyapunov, _symmetric_rhs
 from .network import (
     EdgeId,
     GeneratorNetwork,
@@ -55,14 +50,12 @@ from .network import (
 )
 
 __all__ = [
+    "COUPLING_FLOOR",
+    "AscentRecord",
     "ModificationProblem",
     "ModificationResult",
     "OracleSummary",
-    "NelderMeadResult",
     "delta_matrix",
-    "parameterize",
-    "penalized_objective",
-    "nelder_mead_maximize",
     "optimize_modification",
     "improvement_percent",
     "modification_is_feasible",
@@ -70,13 +63,21 @@ __all__ = [
     "random_edge_set",
 ]
 
-# Practical infinity for the constraint penalty.
-DEFAULT_XI = 1e10
+# eps: every modified line keeps at least this fraction of its coupling.
+COUPLING_FLOOR = 1e-3
 # Slack on the budget when a modification vector is checked for feasibility.
 FEASIBILITY_SLACK = 1e-9
 # Default cap on exhaustive enumeration; past this the problem is
 # declared out of brute-force reach rather than silently running for days.
 DEFAULT_COMBINATION_CAP = 100_000
+# Projected gradient ascent: Armijo constant, stopping tolerances (a
+# relative gain and a relative step) and hard caps per restart.
+ARMIJO = 1e-4
+GAIN_TOL = 1e-12
+STEP_TOL = 1e-10
+MAX_ASCENT_ITERATIONS = 200
+MAX_BACKTRACKS = 60
+PROJECTION_BISECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,6 @@ class ModificationProblem:
     edge_set: tuple[EdgeId, ...]
     metric: GramianMetric
     beta: float
-    xi: float = DEFAULT_XI
-    parameterization: str = "sin"
-    chi: float = 1.0
     restarts: int = 8
     seed: int = 0
 
@@ -106,15 +104,6 @@ class ModificationProblem:
             raise ValueError(f"metric must be a GramianMetric, got {self.metric!r}")
         if not 0 <= self.beta < math.inf:
             raise ValueError(f"budget must be finite, nonnegative, got {self.beta}")
-        if not self.xi >= 1e6:
-            raise ValueError(f"penalty constant must be >= 1e6, got {self.xi}")
-        if self.parameterization not in ("sin", "sigmoid"):
-            raise ValueError(
-                f"parameterization must be 'sin' or 'sigmoid', "
-                f"got {self.parameterization!r}"
-            )
-        if not self.chi > 0:
-            raise ValueError(f"sigmoid slope must be positive, got {self.chi}")
         if self.restarts < 1:
             raise ValueError(f"need at least one restart, got {self.restarts}")
         object.__setattr__(self, "edge_set", edges)
@@ -130,7 +119,10 @@ class ModificationResult:
     """Outcome of one optimization run, already re-validated end to end.
 
     ``system`` is the modified network's validated reduced system (the
-    base system for the zero modification).
+    base system for the zero modification). ``restarts`` holds one record
+    per restart that ran. ``fallback_reason`` is None unless the zero
+    modification or the warm start was returned instead of the ascent's
+    best point, and then says why.
     """
 
     edge_set: tuple[EdgeId, ...]
@@ -142,8 +134,14 @@ class ModificationResult:
     metric_after: float
     improvement_pct: float
     feasible: bool
-    iterations: int
     system: ReducedSystem
+    restarts: tuple[AscentRecord, ...]
+    fallback_reason: str | None
+
+    @property
+    def iterations(self) -> int:
+        """Ascent iterations over all restarts."""
+        return sum(r.iterations for r in self.restarts)
 
 
 @dataclass(frozen=True)
@@ -177,35 +175,49 @@ def delta_matrix(edge_set, gamma, n_nodes: int) -> np.ndarray:
     return delta
 
 
-def parameterize(
-    eta, beta: float, kind: str = "sin", chi: float = 1.0
-) -> np.ndarray:
-    """Map unconstrained eta = (nu, kappa) onto the budget ball.
+def _lower_bounds(net: GeneratorNetwork, edge_set) -> np.ndarray:
+    """The floor -(1 - COUPLING_FLOOR) g_k of each line's change gamma_k."""
+    g = np.array([net.edge_weight(edge) for edge in edge_set])
+    return -(1.0 - COUPLING_FLOOR) * g
 
-    The sinusoidal form gamma = beta sin(pi kappa / 2) nu/||nu|| covers
-    radii in [-beta, beta]; the logistic alternative uses
-    1/(1 + e^{-chi kappa}) in place of the sine. Zero direction vectors
-    are rejected (the radial scaling is undefined there).
+
+def _project(x: np.ndarray, lower: np.ndarray, beta: float) -> np.ndarray:
+    """Nearest point to ``x`` of {||gamma|| <= beta, gamma >= lower}, lower <= 0.
+
+    The KKT conditions give gamma = max(x / (1 + mu), lower) with mu >= 0,
+    and ||gamma|| falls as mu grows. Bisection on t = 1/(1 + mu) in [0, 1]
+    isolates the interval on which the set of components held at their
+    floor stops changing; on it ||gamma||^2 = t^2 ||x_free||^2 +
+    ||lower_held||^2, which is solved for ||gamma|| = beta exactly.
     """
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim != 1 or eta.shape[0] < 2:
-        raise ValueError(f"eta must be a vector (nu, kappa), got shape {eta.shape}")
-    nu, kappa = eta[:-1], eta[-1]
-    norm = float(np.linalg.norm(nu))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise DegenerateDirectionError(
-            "direction component of eta is zero or non-finite"
-        )
-    if kind == "sin":
-        radius = beta * math.sin(0.5 * math.pi * kappa)
-    elif kind == "sigmoid":
-        try:
-            radius = beta / (1.0 + math.exp(-chi * kappa))
-        except OverflowError:  # chi * kappa << 0: the logistic limit is 0
-            radius = 0.0
-    else:
-        raise ValueError(f"unknown parameterization {kind!r}")
-    return (radius / norm) * nu
+    gamma = np.maximum(x, lower)
+    if gamma @ gamma <= beta * beta:
+        return gamma
+    lo, hi = 0.0, 1.0  # ||gamma(0)|| = 0 <= beta < ||gamma(1)||
+    for _ in range(PROJECTION_BISECTIONS):
+        held = hi * x < lower
+        if np.array_equal(held, lo * x < lower):
+            free = x[~held]
+            room = max(beta * beta - lower[held] @ lower[held], 0.0)
+            t = math.sqrt(room / (free @ free))
+            return np.maximum(min(max(t, lo), hi) * x, lower)
+        mid = 0.5 * (lo + hi)
+        gamma = np.maximum(mid * x, lower)
+        if gamma @ gamma > beta * beta:
+            hi = mid
+        else:
+            lo = mid
+    return np.maximum(lo * x, lower)
+
+
+class _Point(NamedTuple):
+    """A feasible gamma with its metric and the factors its gradient reuses."""
+
+    gamma: np.ndarray
+    value: float
+    schur: RealSchur
+    W: np.ndarray
+    chol: np.ndarray | None
 
 
 class _ObjectiveContext:
@@ -215,161 +227,138 @@ class _ObjectiveContext:
     A0 + sum_k gamma_k F_k; rebuilding networks per evaluation would
     dominate the runtime. Each evaluation then factors A once: a single
     real Schur form gives the Hurwitz test and the Gramian, and a single
-    Cholesky factor of the Gramian gives the metric.
+    Cholesky factor of the Gramian gives the metric. A gradient reuses
+    both, at the cost of one adjoint solve.
     """
 
-    def __init__(self, problem: ModificationProblem):
+    def __init__(
+        self, problem: ModificationProblem, base_system: ReducedSystem | None = None
+    ):
         self.problem = problem
-        self.sys0 = build_reduced_system(problem.net)
+        self.sys0 = (
+            build_reduced_system(problem.net) if base_system is None else base_system
+        )
         self.BBt = self.sys0.B @ self.sys0.B.T
         # Row k is F_k flattened, so A(gamma) is one vector-matrix product.
-        self.F = np.stack(
-            [
-                edge_direction_matrix(self.sys0, problem.net, edge).ravel()
-                for edge in problem.edge_set
-            ]
+        self.F = np.stack([
+            edge_direction_matrix(self.sys0, problem.net, edge).ravel()
+            for edge in problem.edge_set
+        ])
+        self.lower = _lower_bounds(problem.net, problem.edge_set)
+        base_gramian = gramian_infinite(self.sys0)
+        self.h_base = base_gramian.metric(problem.metric)
+        self.base_point = _Point(
+            np.zeros(problem.s), self.h_base, self.sys0.schur, base_gramian.W, None
         )
-        # Lower bounds gamma_k >= -g_k, negated once so that each
-        # evaluation tests them with one comparison.
-        self.neg_g = -np.array(
-            [problem.net.edge_weight(edge) for edge in problem.edge_set]
-        )
-        self.base_gramian = gramian_infinite(self.sys0)
-        self.h_base = self.base_gramian.metric(problem.metric)
 
-    def state_matrix(self, gamma: np.ndarray) -> np.ndarray:
-        if not np.any(gamma):
-            return self.sys0.A
-        return self.sys0.A + (gamma @ self.F).reshape(self.sys0.A.shape)
-
-    def value(self, eta: np.ndarray) -> float:
-        p = self.problem
+    def evaluate(self, gamma: np.ndarray) -> _Point | None:
+        """The metric at ``gamma``, or None if a numerical check fails."""
+        A = self.sys0.A + (gamma @ self.F).reshape(self.sys0.A.shape)
         try:
-            gamma = parameterize(eta, p.beta, p.parameterization, p.chi)
-        except DegenerateDirectionError:
-            return -p.xi
-        if (gamma < self.neg_g).any():
-            return -p.xi
-        try:
-            W = _hurwitz_lyapunov(self.state_matrix(gamma), self.BBt)
-            h = metric_value(W, p.metric)
+            schur = _real_schur(A)
+            W = _schur_lyapunov(schur, self.BBt)
+            value, chol = _factored_metric(W, self.problem.metric)
         except (PowergramError, ValueError):
-            return -p.xi
-        if not math.isfinite(h):
-            return -p.xi
-        return h
+            return None
+        if not math.isfinite(value):
+            return None
+        return _Point(gamma, value, schur, W, chol)
 
+    def gradient(self, point: _Point) -> np.ndarray | None:
+        """dh/dgamma_k = 2 tr(P F_k W), with A^T P + P A + G = 0.
 
-def penalized_objective(problem: ModificationProblem, eta) -> float:
-    """Metric of the modified network, or -xi when eta is infeasible.
-
-    Total on its domain: stability violations, bound violations, and
-    numerical failures all map to the penalty value instead of raising,
-    which is what lets a derivative-free search roam freely.
-    """
-    return _ObjectiveContext(problem).value(np.asarray(eta, dtype=float))
+        G is the metric's adjoint weight (``centrality._gradient_weights``)
+        and the solve runs on the Schur factor ``point`` already holds.
+        None if the solve fails.
+        """
+        try:
+            G = _gradient_weights(point.W, self.problem.metric, point.chol)
+            G = _symmetric_rhs(G, self.sys0.order, "G")
+            P = _schur_lyapunov(point.schur, G, adjoint=True)
+        except (PowergramError, ValueError):
+            return None
+        return 2.0 * (self.F @ (P @ point.W).ravel())
 
 
 @dataclass(frozen=True)
-class NelderMeadResult:
-    eta: np.ndarray
-    value: float
-    iterations: int
-    converged: bool
+class AscentRecord:
+    """One restart of the projected gradient ascent.
 
-
-def nelder_mead_maximize(
-    f: Callable[[np.ndarray], float],
-    eta0,
-    max_iter: int | None = None,
-    f_tol: float = 1e-10,
-    x_tol: float = 1e-10,
-) -> NelderMeadResult:
-    """Derivative-free simplex maximization of a total function.
-
-    Classic Nelder-Mead with reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5, started from the conventional simplex (each coordinate of
-    eta0 nudged by 5 percent, or 0.00025 when zero). The search has
-    converged when the vertex spread is below ``x_tol`` and the value
-    spread is below ``f_tol * max(1, |f_best|)``: the value tolerance is
-    relative, because an objective of size 1e4 carries roundoff far above
-    an absolute 1e-10. It stops unconverged when the vertex spread falls
-    to 4 eps * max(1, max|x_best|), where no step can move the simplex any
-    more, or at the iteration cap (400 per dimension by default). Either
-    way it returns the best vertex seen and the convergence flag.
-    Hand-written because ``import scipy.optimize`` adds about 19 MB of
-    resident memory and about 0.25 s to every CLI start for the same steps.
+    ``converged`` is False when the restart stopped at an iteration or
+    backtracking cap, or on a failed evaluation, rather than at a
+    stationary point; ``best_value`` is None when the start itself failed.
     """
-    x0 = np.asarray(eta0, dtype=float).copy()
-    if x0.ndim != 1:
-        raise ValueError(f"eta0 must be a vector, got shape {x0.shape}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("eta0 contains non-finite entries")
-    dim = x0.shape[0]
-    if max_iter is None:
-        max_iter = 400 * dim
 
-    # Work on g = -f so the bookkeeping below is ordinary minimization.
-    def g(x: np.ndarray) -> float:
-        return -float(f(x))
+    start: tuple[float, ...]
+    iterations: int
+    value_evaluations: int
+    gradient_evaluations: int
+    converged: bool
+    best_value: float | None
 
-    # Row 0 is x0, row k + 1 nudges coordinate k.
-    simplex = np.tile(x0, (dim + 1, 1))
-    for k in range(dim):
-        simplex[k + 1, k] = x0[k] * 1.05 if x0[k] != 0.0 else 0.00025
-    values = np.array([g(v) for v in simplex])
 
-    stall = 4.0 * np.finfo(float).eps
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        order = values.argsort(kind="stable")
-        simplex, values = simplex[order], values[order]
-        # Sorted ascending and rounding is monotone, so the last
-        # difference is exactly the largest |v - v_best|.
-        f_spread = values[-1] - values[0]
-        x_spread = abs(simplex[1:] - simplex[0]).max()
-        if x_spread < x_tol and f_spread < f_tol * max(1.0, abs(values[0])):
+def _ascend(ctx: _ObjectiveContext, start: np.ndarray):
+    """Spectral projected gradient ascent from a feasible ``start``.
+
+    Barzilai-Borwein steps, capped so that the projected gradient moves
+    at most 2 beta, with Armijo backtracking (halving) along the
+    projection arc gamma(lam) = P(gamma + lam grad). Converged when an
+    accepted step gains at most GAIN_TOL max(1, |h|), or the projected
+    step shrinks to STEP_TOL max(1, ||gamma||). Returns the best point
+    (None if the start itself fails to evaluate) and the restart's record.
+    """
+    beta, lower = ctx.problem.beta, ctx.lower
+    point = ctx.evaluate(start)
+    grad = None if point is None else ctx.gradient(point)
+    evaluations, gradients = 1, int(point is not None)
+    iterations, converged, lam = 0, False, math.inf
+    while grad is not None and iterations < MAX_ASCENT_ITERATIONS:
+        step_tol = STEP_TOL * max(1.0, float(np.linalg.norm(point.gamma)))
+        grad_norm = float(np.linalg.norm(grad))
+        # The projected step of unprojected length beta measures the part
+        # of grad the floors and the sphere let through; cap lam so that
+        # part moves at most the ball's diameter 2 beta.
+        tau = beta / grad_norm if grad_norm > 0.0 else 0.0
+        reach = float(np.linalg.norm(
+            _project(point.gamma + tau * grad, lower, beta) - point.gamma
+        ))
+        if reach <= step_tol:
             converged = True
             break
-        if x_spread <= stall * max(1.0, abs(simplex[0]).max()):
+        lam = min(lam, 2.0 * beta * tau / reach)
+        for _ in range(MAX_BACKTRACKS):
+            gamma = _project(point.gamma + lam * grad, lower, beta)
+            step = gamma - point.gamma
+            if float(np.linalg.norm(step)) <= step_tol:
+                converged, trial = True, None
+                break
+            trial = ctx.evaluate(gamma)
+            evaluations += 1
+            if trial is not None and (
+                trial.value >= point.value + ARMIJO * float(grad @ step)
+            ):
+                break
+            lam *= 0.5
+        else:
+            trial = None  # backtracking cap
+        if trial is None:
             break
         iterations += 1
-
-        centroid = simplex[:-1].sum(axis=0) / dim
-        worst = simplex[-1]
-        reflected = 2.0 * centroid - worst
-        fr = g(reflected)
-        if fr < values[0]:
-            expanded = 3.0 * centroid - 2.0 * worst
-            fe = g(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            if fr < values[-1]:
-                contracted = 1.5 * centroid - 0.5 * worst
-                fc = g(contracted)
-                accept = fc <= fr
-            else:
-                contracted = 0.5 * centroid + 0.5 * worst
-                fc = g(contracted)
-                accept = fc < values[-1]
-            if accept:
-                simplex[-1], values[-1] = contracted, fc
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                values[1:] = [g(v) for v in simplex[1:]]
-
-    best = int(np.argmin(values))
-    return NelderMeadResult(
-        eta=simplex[best].copy(),
-        value=-float(values[best]),
-        iterations=iterations,
-        converged=converged,
+        gain, point = trial.value - point.value, trial
+        if gain <= GAIN_TOL * max(1.0, abs(point.value)):
+            converged = True
+            break
+        new_grad = ctx.gradient(point)
+        gradients += 1
+        if new_grad is not None:
+            # BB step for the maximization: ||s||^2 / (-s . y).
+            curvature = -float(step @ (new_grad - grad))
+            lam = float(step @ step) / curvature if curvature > 0.0 else math.inf
+        grad = new_grad
+    best_value = None if point is None else point.value
+    return point, AscentRecord(
+        tuple(start.tolist()), iterations, evaluations, gradients, converged,
+        best_value,
     )
 
 
@@ -388,7 +377,7 @@ def _feasible_system(net, edge_set, gamma, beta: float) -> ReducedSystem | None:
     gamma = np.asarray(gamma, dtype=float)
     if float(np.linalg.norm(gamma)) > beta + FEASIBILITY_SLACK:
         return None
-    if (gamma < -np.array([net.edge_weight(e) for e in edges])).any():
+    if (gamma < _lower_bounds(net, edges)).any():
         return None
     L_mod = net.L + delta_matrix(edges, gamma, net.N)
     try:
@@ -405,9 +394,10 @@ def modification_is_feasible(
 ) -> bool:
     """Check the three feasibility conditions of a modification vector.
 
-    Budget ||gamma|| <= beta with a 1e-9 slack; lower bounds gamma_k >= -g_k
-    with none, the comparison the objective makes; and stability of the
-    modified network as ``build_reduced_system`` decides it.
+    Budget ||gamma|| <= beta with a 1e-9 slack; the coupling floor
+    gamma_k >= -(1 - COUPLING_FLOOR) g_k with none, so cutting a line
+    (gamma_k = -g_k) is infeasible; and stability of the modified network
+    as ``build_reduced_system`` decides it.
     """
     return _feasible_system(net, edge_set, gamma, beta) is not None
 
@@ -417,16 +407,15 @@ def _restart_directions(problem: ModificationProblem, ctx: _ObjectiveContext):
 
     Uniform direction, the centrality gradient over the edge set in both
     signs, then seeded random unit vectors up to the restart budget. The
-    gradient encodes first-order information, which for small budgets is
-    often already the answer.
+    gradient is the context's gradient at gamma = 0, on the base
+    system's factor; for small budgets it is often already the answer.
     """
     s = problem.s
     rng = np.random.default_rng(problem.seed)
     directions = [np.full(s, 1.0 / math.sqrt(s))]
-    full = _ecm_matrix(ctx.sys0, ctx.base_gramian.W, problem.metric)
-    grad = np.array([full[edge.i - 1, edge.j - 1] for edge in problem.edge_set])
-    norm = float(np.linalg.norm(grad))
-    if norm > 0 and np.all(np.isfinite(grad)):
+    grad = ctx.gradient(ctx.base_point)
+    norm = 0.0 if grad is None else float(np.linalg.norm(grad))
+    if norm > 0:
         directions.append(grad / norm)
         directions.append(-grad / norm)
     while len(directions) < problem.restarts:
@@ -437,9 +426,43 @@ def _restart_directions(problem: ModificationProblem, ctx: _ObjectiveContext):
     return directions[: problem.restarts]
 
 
+def _starts(problem: ModificationProblem, ctx: _ObjectiveContext, warm):
+    """Distinct feasible starts: P(beta/sqrt(2) d) per direction, then ``warm``."""
+    radius = problem.beta / math.sqrt(2.0)
+    candidates = [
+        _project(radius * d, ctx.lower, problem.beta)
+        for d in _restart_directions(problem, ctx)
+    ]
+    if warm is not None:
+        candidates.append(_project(warm, ctx.lower, problem.beta))
+    return [
+        start for k, start in enumerate(candidates)
+        if not any(np.array_equal(start, seen) for seen in candidates[:k])
+    ]
+
+
+def _result(problem, gamma, system, h_base, h_after, records, reason):
+    return ModificationResult(
+        edge_set=problem.edge_set,
+        metric=problem.metric,
+        gamma=gamma,
+        delta=delta_matrix(problem.edge_set, gamma, problem.net.N),
+        L_modified=system.network.L.copy(),
+        metric_before=h_base,
+        metric_after=h_after,
+        improvement_pct=(
+            0.0 if h_after == h_base else improvement_percent(h_base, h_after)
+        ),
+        feasible=True,
+        system=system,
+        restarts=records,
+        fallback_reason=reason,
+    )
+
+
 def _validated(
     problem: ModificationProblem, gamma: np.ndarray, h_base: float,
-    iterations: int,
+    records: tuple, fallback_reason: str | None = None,
 ) -> ModificationResult | None:
     """Result for ``gamma`` re-checked through the public model path.
 
@@ -455,39 +478,33 @@ def _validated(
         return None
     if not (math.isfinite(h_after) and h_after > h_base):
         return None
-    return ModificationResult(
-        edge_set=problem.edge_set,
-        metric=problem.metric,
-        gamma=gamma,
-        delta=delta_matrix(problem.edge_set, gamma, problem.net.N),
-        L_modified=sys_mod.network.L,
-        metric_before=h_base,
-        metric_after=h_after,
-        improvement_pct=improvement_percent(h_base, h_after),
-        feasible=True,
-        iterations=iterations,
-        system=sys_mod,
-    )
+    return _result(problem, gamma, sys_mod, h_base, h_after, records, fallback_reason)
 
 
 def optimize_modification(
-    problem: ModificationProblem, warm_start_gamma=None
+    problem: ModificationProblem,
+    warm_start_gamma=None,
+    base_system: ReducedSystem | None = None,
 ) -> ModificationResult:
-    """Best feasible modification found by the multi-start simplex search.
+    """Best feasible modification found by multi-start projected ascent.
 
-    Deterministic for a fixed seed: the restart schedule is fixed, each
-    restart runs to its own termination, and ties between restarts keep
-    the earlier one. ``warm_start_gamma`` adds one extra restart seeded
-    at a known feasible point (used by budget sweeps so a larger budget
-    can never do worse than a smaller one).
+    Feasible means ||gamma|| <= beta and gamma_k >= -(1 - eps) g_k with
+    eps = COUPLING_FLOOR = 1e-3: a budget large enough to cut a line
+    stops at that line's floor. Deterministic for a fixed seed: the
+    restart schedule is fixed, each restart runs to its own termination,
+    and ties between restarts keep the earlier one. ``warm_start_gamma``
+    adds one extra start at a known feasible point (used by budget sweeps
+    so a larger budget can never do worse than a smaller one).
+    ``base_system`` is the unmodified network's reduced system, if the
+    caller has already built it.
 
     The winning gamma is re-validated through the public model path
     (feasibility, network build, fresh Gramian). If that does not
-    confirm an improvement, or every restart was penalized, the warm
-    start itself is re-validated the same way and returned if it passes;
-    otherwise the zero modification is returned.
+    confirm an improvement, the warm start itself is re-validated the
+    same way and returned if it passes; otherwise the zero modification
+    is returned. Either fallback is named in ``fallback_reason``.
     """
-    ctx = _ObjectiveContext(problem)
+    ctx = _ObjectiveContext(problem, base_system)
     h_base = ctx.h_base
     if not math.isfinite(h_base):
         raise NumericalError(
@@ -495,64 +512,47 @@ def optimize_modification(
             "uncontrollable"
         )
 
-    def zero_result(iterations: int) -> ModificationResult:
-        return ModificationResult(
-            edge_set=problem.edge_set,
-            metric=problem.metric,
-            gamma=np.zeros(problem.s),
-            delta=np.zeros((problem.net.N, problem.net.N)),
-            L_modified=problem.net.L.copy(),
-            metric_before=h_base,
-            metric_after=h_base,
-            improvement_pct=0.0,
-            feasible=True,
-            iterations=iterations,
-            system=ctx.sys0,
+    def zero_result(records, reason) -> ModificationResult:
+        return _result(
+            problem, np.zeros(problem.s), ctx.sys0, h_base, h_base, records, reason
         )
 
     if problem.beta == 0.0:
-        return zero_result(0)
+        return zero_result((), "zero budget")
 
-    starts = [
-        np.append(direction, 0.5)
-        for direction in _restart_directions(problem, ctx)
-    ]
     warm = None
     if warm_start_gamma is not None:
         warm = np.array(warm_start_gamma, dtype=float)
-        norm = float(np.linalg.norm(warm))
-        if warm.shape == (problem.s,) and norm > 0:
-            ratio = min(1.0, norm / problem.beta)
-            kappa = 2.0 / math.pi * math.asin(ratio)
-            starts.append(np.append(warm / norm, kappa))
-        else:
+        if warm.shape != (problem.s,) or not warm.any():
             warm = None
 
-    best: NelderMeadResult | None = None
-    total_iterations = 0
-    for eta0 in starts:
-        outcome = nelder_mead_maximize(ctx.value, eta0)
-        total_iterations += outcome.iterations
-        if best is None or outcome.value > best.value:
-            best = outcome
+    best = None
+    records = []
+    for start in _starts(problem, ctx, warm):
+        point, record = _ascend(ctx, start)
+        records.append(record)
+        if point is not None and (best is None or point.value > best.value):
+            best = point
+    records = tuple(records)
 
-    # A value at the penalty means every restart was penalized out.
-    if best is not None and best.value > -problem.xi * 0.5:
-        gamma = parameterize(
-            best.eta, problem.beta, problem.parameterization, problem.chi
-        )
-        norm = float(np.linalg.norm(gamma))
-        if norm > problem.beta:  # sin wraps, so only roundoff can land here
-            gamma *= problem.beta / norm
-        result = _validated(problem, gamma, h_base, total_iterations)
+    if best is None:
+        cause = "every restart failed to evaluate"
+    elif best.value <= h_base:
+        cause = "no restart improved on the base metric"
+    else:
+        result = _validated(problem, best.gamma, h_base, records)
         if result is not None:
             return result
+        cause = "the best point failed re-validation"
     if warm is not None:
-        result = _validated(problem, warm, h_base, total_iterations)
+        result = _validated(
+            problem, warm, h_base, records,
+            f"{cause}; returned the warm start",
+        )
         if result is not None:
             return result
     # Nothing feasible beats doing nothing.
-    return zero_result(total_iterations)
+    return zero_result(records, f"{cause}; returned the zero modification")
 
 
 def random_edge_set(candidate: CandidateEdgeSet, s: int, seed: int):
@@ -576,11 +576,13 @@ def brute_force_oracle(
     problem: ModificationProblem,
     candidate: CandidateEdgeSet,
     cap: int = DEFAULT_COMBINATION_CAP,
+    base_system: ReducedSystem | None = None,
 ) -> OracleSummary:
     """Exhaustive best/worst landscape over all s-subsets of ``candidate``.
 
     Runs the full optimizer (identical settings and seed) on every
-    subset, then scores the problem's own edge set against the field:
+    subset, all on one base system (``base_system``, or built here once),
+    then scores the problem's own edge set against the field:
     j_v places its improvement between worst (0) and best (100), j_c is
     the percentile of subsets it ties or beats. Refuses outright when
     the combination count exceeds ``cap``; this regime is exactly why
@@ -600,8 +602,12 @@ def brute_force_oracle(
         )
     combos = list(combinations(candidate.edges, s))
 
+    if base_system is None:
+        base_system = build_reduced_system(problem.net)
     improvements = [
-        optimize_modification(replace(problem, edge_set=combo)).improvement_pct
+        optimize_modification(
+            replace(problem, edge_set=combo), base_system=base_system
+        ).improvement_pct
         for combo in combos
     ]
 
@@ -619,7 +625,9 @@ def brute_force_oracle(
             cand_edges, j_cand = combo, j
             break
     if j_cand is None:  # candidate outside the enumerated family
-        j_cand = optimize_modification(problem).improvement_pct
+        j_cand = optimize_modification(
+            problem, base_system=base_system
+        ).improvement_pct
     if not (j_wcs - 1e-9 <= j_cand <= j_bcs + 1e-9):
         raise NumericalError(
             f"oracle sandwich violated: {j_wcs} <= {j_cand} <= {j_bcs} fails"

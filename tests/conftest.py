@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import powergram.linalg
 from powergram import (
@@ -105,3 +106,9 @@ def lapack_calls(monkeypatch):
     monkeypatch.setattr(powergram.linalg, "dtrsyl", dtrsyl)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     return calls
+
+
+# One derandomized profile for every property test: Tier-1 sees the same
+# examples on every run, and no example is failed for its wall time.
+settings.register_profile("powergram", derandomize=True, deadline=None)
+settings.load_profile("powergram")

@@ -6,13 +6,16 @@ equation through a Kronecker product instead of a Schur reduction, the
 gradient references use central finite differences or one Lyapunov solve
 per edge instead of the library's single adjoint solve, steering is
 checked by fixed-step RK4 integration, and the modification matrix is
-rebuilt from an incidence factorization. The Nelder-Mead reference is
-the list-of-vertices loop the library's array loop replaced, kept step
-for step so the two can be compared bit for bit.
+rebuilt from an incidence factorization. The optimizer is checked
+against a dense grid over its feasible set, against a derivative-free
+Nelder-Mead search of a penalized objective, and its projection against
+an enumeration of the active sets.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ from powergram import (
     build_reduced_system,
     edge_laplacian,
 )
+from powergram.modify import _ObjectiveContext
 
 
 def kron_lyapunov_solve(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -111,62 +115,217 @@ def per_edge_ecm_entry(
     return float(np.trace(W_inv @ W_inv @ X))
 
 
-def list_nelder_mead(f, eta0, max_iter=None, f_tol=1e-10, x_tol=1e-10):
-    """Nelder-Mead maximization on a Python list of vertices.
+def nearest_floored_point(x, lower, beta: float) -> np.ndarray:
+    """Nearest point to x of {||gamma|| <= beta, gamma >= lower}, by enumeration.
 
-    The same steps, coefficients, initial simplex and stopping rule as
-    ``powergram.nelder_mead_maximize``: converged when the vertex spread
-    is below x_tol and the value spread below f_tol * max(1, |f_best|),
-    stalled (unconverged) when the vertex spread is at most
-    4 eps * max(1, max|x_best|). Returns (eta, value, iterations,
-    converged).
+    Tries every set H of components held at their floor, with the ball
+    constraint inactive (gamma = x off H) or active (x scaled onto the
+    sphere off H), keeps the candidates that are feasible to 1e-12 and
+    returns the closest. Exponential in len(x); meant for s <= 6.
+    """
+    x = np.asarray(x, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    s = x.shape[0]
+    best, best_dist = None, np.inf
+    for held in itertools.product((False, True), repeat=s):
+        held = np.array(held)
+        gamma = np.where(held, lower, x)
+        candidates = [gamma]
+        rest = beta**2 - float(np.sum(lower[held] ** 2))
+        free_sq = float(np.sum(x[~held] ** 2))
+        if rest >= 0.0 and free_sq > 0.0:
+            candidates.append(np.where(held, lower, x * np.sqrt(rest / free_sq)))
+        for cand in candidates:
+            feasible = (
+                np.linalg.norm(cand) <= beta * (1.0 + 1e-12)
+                and np.all(cand >= lower - 1e-12)
+            )
+            dist = float(np.linalg.norm(cand - x))
+            if feasible and dist < best_dist:
+                best, best_dist = cand, dist
+    return best
+
+
+def dense_gramian_eigenvalues(net: GeneratorNetwork, edge_set, gamma) -> np.ndarray:
+    """Eigenvalues of the modified network's Gramian, from dense references.
+
+    Independent of the library's optimizer path: the Laplacian comes
+    from :func:`incidence_delta`, the Gramian from
+    :func:`kron_lyapunov_solve`, and its spectrum from a symmetric
+    eigendecomposition.
+    """
+    L = net.L + incidence_delta(edge_set, gamma, net.N)
+    sys = build_reduced_system(net.with_laplacian(L))
+    W = kron_lyapunov_solve(sys.A, sys.B @ sys.B.T)
+    return np.linalg.eigvalsh(0.5 * (W + W.T))
+
+
+def metric_from_eigenvalues(ev: np.ndarray, metric: GramianMetric) -> float:
+    if metric is GramianMetric.TRACE:
+        return float(np.sum(ev))
+    if metric is GramianMetric.LOG_DET:
+        return float(np.sum(np.log(ev)))
+    return -float(np.sum(1.0 / ev))
+
+
+def dense_metric(net: GeneratorNetwork, edge_set, gamma, metric: GramianMetric) -> float:
+    """Metric of the modified network from :func:`dense_gramian_eigenvalues`."""
+    return metric_from_eigenvalues(
+        dense_gramian_eigenvalues(net, edge_set, gamma), metric
+    )
+
+
+def grid_maximum(
+    net: GeneratorNetwork, edge_set, metric: GramianMetric, beta: float,
+    lower, points: int = 41,
+) -> float:
+    """Best metric over a dense grid of the floored budget set, s <= 2.
+
+    The grid covers [max(lower_k, -beta), beta] per edge with ``points``
+    nodes, plus ``4 * points`` nodes on the sphere ||gamma|| = beta and
+    the corners where a floor meets the sphere; infeasible nodes are
+    dropped. Every node is scored with :func:`dense_metric`.
+    """
+    lower = np.asarray(lower, dtype=float)
+    s = lower.shape[0]
+    if s not in (1, 2):
+        raise ValueError("the grid oracle covers s = 1 and s = 2 only")
+    axes = [np.linspace(max(lo, -beta), beta, points) for lo in lower]
+    nodes = [np.array(p) for p in itertools.product(*axes)]
+    if s == 2:
+        for theta in np.linspace(0.0, 2.0 * np.pi, 4 * points, endpoint=False):
+            nodes.append(beta * np.array([np.cos(theta), np.sin(theta)]))
+        for k in range(2):
+            if abs(lower[k]) <= beta:
+                other = np.sqrt(beta**2 - lower[k] ** 2)
+                for sign in (-1.0, 1.0):
+                    node = np.empty(2)
+                    node[k], node[1 - k] = lower[k], sign * other
+                    nodes.append(node)
+    best = -np.inf
+    for node in nodes:
+        if np.linalg.norm(node) <= beta and np.all(node >= lower):
+            best = max(best, dense_metric(net, edge_set, node, metric))
+    return best
+
+
+class DegenerateDirectionError(ValueError):
+    """The direction part of a search vector eta is zero or not finite."""
+
+
+# Score of an infeasible search vector in :class:`PenalizedObjective`.
+PENALTY = 1e10
+
+
+def parameterize(
+    eta, beta: float, kind: str = "sin", chi: float = 1.0
+) -> np.ndarray:
+    """Map unconstrained eta = (nu, kappa) onto the budget ball.
+
+    The sinusoidal form gamma = beta sin(pi kappa / 2) nu/||nu|| covers
+    radii in [-beta, beta]; the logistic alternative uses
+    1/(1 + e^{-chi kappa}) in place of the sine. Zero direction vectors
+    are rejected (the radial scaling is undefined there).
+    """
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim != 1 or eta.shape[0] < 2:
+        raise ValueError(f"eta must be a vector (nu, kappa), got shape {eta.shape}")
+    nu, kappa = eta[:-1], eta[-1]
+    norm = float(np.linalg.norm(nu))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise DegenerateDirectionError(
+            "direction component of eta is zero or non-finite"
+        )
+    if kind == "sin":
+        radius = beta * math.sin(0.5 * math.pi * kappa)
+    elif kind == "sigmoid":
+        try:
+            radius = beta / (1.0 + math.exp(-chi * kappa))
+        except OverflowError:  # chi * kappa << 0: the logistic limit is 0
+            radius = 0.0
+    else:
+        raise ValueError(f"unknown parameterization {kind!r}")
+    return (radius / norm) * nu
+
+
+class PenalizedObjective:
+    """Metric of the modified network at parameterize(eta), or -PENALTY.
+
+    Total on its domain: a degenerate direction, a gamma below ``lower``
+    (the coupling floor unless given) and a failed evaluation all score
+    -PENALTY instead of raising, which lets a derivative-free search roam
+    freely. The metric comes from the library's objective context.
+    """
+
+    def __init__(self, problem, lower=None):
+        self.ctx = _ObjectiveContext(problem)
+        self.beta = problem.beta
+        self.lower = self.ctx.lower if lower is None else np.asarray(lower, float)
+
+    def __call__(self, eta) -> float:
+        try:
+            gamma = parameterize(eta, self.beta)
+        except DegenerateDirectionError:
+            return -PENALTY
+        if (gamma < self.lower).any():
+            return -PENALTY
+        point = self.ctx.evaluate(gamma)
+        return -PENALTY if point is None else point.value
+
+
+@dataclass(frozen=True)
+class NelderMeadResult:
+    eta: np.ndarray
+    value: float
+    iterations: int
+    converged: bool
+
+
+def nelder_mead_maximize(f, eta0, max_iter=None, f_tol=1e-10, x_tol=1e-10):
+    """Derivative-free simplex maximization of a total function.
+
+    Classic Nelder-Mead with reflection 1, expansion 2, contraction 0.5,
+    shrink 0.5, started from the conventional simplex (each coordinate of
+    eta0 nudged by 5 percent, or 0.00025 when zero). Converged when the
+    vertex spread is below ``x_tol`` and the value spread is below
+    ``f_tol * max(1, |f_best|)``. Stops unconverged when the vertex spread
+    falls to 4 eps * max(1, max|x_best|), where no step can move the
+    simplex any more, or at the cap of 400 iterations per dimension.
     """
     x0 = np.asarray(eta0, dtype=float).copy()
+    if x0.ndim != 1:
+        raise ValueError(f"eta0 must be a vector, got shape {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("eta0 contains non-finite entries")
     dim = x0.shape[0]
     if max_iter is None:
         max_iter = 400 * dim
 
-    def g(x):
+    # Work on g = -f so the bookkeeping below is ordinary minimization.
+    def g(x: np.ndarray) -> float:
         return -float(f(x))
 
-    eps = np.finfo(float).eps
-    simplex = [x0]
+    simplex = np.tile(x0, (dim + 1, 1))
     for k in range(dim):
-        vertex = x0.copy()
-        if vertex[k] != 0.0:
-            vertex[k] *= 1.05
-        else:
-            vertex[k] = 0.00025
-        simplex.append(vertex)
-    values = [g(v) for v in simplex]
+        simplex[k + 1, k] = x0[k] * 1.05 if x0[k] != 0.0 else 0.00025
+    values = np.array([g(v) for v in simplex])
 
-    def shrink(simplex, values):
-        best = simplex[0]
-        new_simplex, new_values = [best], [values[0]]
-        for vertex in simplex[1:]:
-            shrunk = best + 0.5 * (vertex - best)
-            new_simplex.append(shrunk)
-            new_values.append(g(shrunk))
-        return new_simplex, new_values
-
+    stall = 4.0 * np.finfo(float).eps
     iterations = 0
     converged = False
     while iterations < max_iter:
-        order = sorted(range(dim + 1), key=lambda k: values[k])
-        simplex = [simplex[k] for k in order]
-        values = [values[k] for k in order]
-        f_spread = max(abs(v - values[0]) for v in values[1:])
-        x_spread = max(
-            float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:]
-        )
+        order = values.argsort(kind="stable")
+        simplex, values = simplex[order], values[order]
+        f_spread = values[-1] - values[0]
+        x_spread = abs(simplex[1:] - simplex[0]).max()
         if x_spread < x_tol and f_spread < f_tol * max(1.0, abs(values[0])):
             converged = True
             break
-        if x_spread <= 4.0 * eps * max(1.0, float(np.max(np.abs(simplex[0])))):
+        if x_spread <= stall * max(1.0, abs(simplex[0]).max()):
             break
         iterations += 1
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].sum(axis=0) / dim
         worst = simplex[-1]
         reflected = 2.0 * centroid - worst
         fr = g(reflected)
@@ -183,20 +342,24 @@ def list_nelder_mead(f, eta0, max_iter=None, f_tol=1e-10, x_tol=1e-10):
             if fr < values[-1]:
                 contracted = 1.5 * centroid - 0.5 * worst
                 fc = g(contracted)
-                if fc <= fr:
-                    simplex[-1], values[-1] = contracted, fc
-                else:
-                    simplex, values = shrink(simplex, values)
+                accept = fc <= fr
             else:
                 contracted = 0.5 * centroid + 0.5 * worst
                 fc = g(contracted)
-                if fc < values[-1]:
-                    simplex[-1], values[-1] = contracted, fc
-                else:
-                    simplex, values = shrink(simplex, values)
+                accept = fc < values[-1]
+            if accept:
+                simplex[-1], values[-1] = contracted, fc
+            else:
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = [g(v) for v in simplex[1:]]
 
     best = int(np.argmin(values))
-    return simplex[best].copy(), -values[best], iterations, converged
+    return NelderMeadResult(
+        eta=simplex[best].copy(),
+        value=-float(values[best]),
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def rk4_steer(sys: ReducedSystem, x0: np.ndarray, t_f: float, u_grid: np.ndarray,

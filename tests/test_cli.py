@@ -267,20 +267,43 @@ class TestCliModify:
             np.array(payload["L_modified"]), modified.L, atol=1e-12
         )
 
-    def test_sigmoid_search_past_exp_overflow(self, out_dir):
-        # This search drives chi * kappa far below -709, where exp(-chi kappa)
-        # overflows a double; the run must still finish with a feasible point.
+    def test_report_carries_restart_records(self, out_dir):
         code = main(
             [
                 "modify", "ieee9", "--out", str(out_dir), "--metric", "logdet",
-                "--s", "2", "--beta", "0.5", "--param", "sigmoid",
+                "--s", "2", "--beta", "0.5",
             ]
         )
         assert code == 0
         payload = json.loads((out_dir / "modification.json").read_text())
-        assert payload["feasible"] is True
-        assert np.linalg.norm(payload["gamma"]) <= 0.5 + 1e-9
-        assert payload["improvement_pct"] > 0.0
+        assert payload["fallback_reason"] is None
+        records = payload["restarts"]
+        assert len(records) == 8
+        for record in records:
+            assert set(record) == {
+                "start", "iterations", "value_evaluations",
+                "gradient_evaluations", "converged", "best_value",
+            }
+            assert record["converged"] is True
+            assert np.linalg.norm(record["start"]) <= 0.5 + 1e-12
+        assert payload["iterations"] == sum(r["iterations"] for r in records)
+        best = max(r["best_value"] for r in records)
+        assert best == pytest.approx(payload["metric_after"], rel=1e-12)
+
+    def test_zero_budget_names_its_fallback(self, out_dir):
+        code = main(
+            ["modify", "ieee9", "--out", str(out_dir), "--beta", "0"]
+        )
+        assert code == 0
+        payload = json.loads((out_dir / "modification.json").read_text())
+        assert payload["fallback_reason"] == "zero budget"
+        assert payload["restarts"] == []
+
+    @pytest.mark.parametrize("flag", ["--param", "--chi"])
+    def test_removed_search_flags_are_usage_errors(self, out_dir, flag, capsys):
+        code = main(["modify", "ieee9", "--out", str(out_dir), flag, "1"])
+        assert code == 2
+        assert flag in capsys.readouterr().err
 
     def test_beta_sweep_outputs(self, out_dir):
         code = main(
@@ -381,14 +404,17 @@ class TestCliOracle:
 
 
 def test_modify_does_not_import_scipy_optimize(tmp_path):
-    # The Nelder-Mead search is hand-written to keep this import (and its
-    # memory and start-up cost) out of every run; a fresh interpreter is
-    # the only place where its absence can be observed.
+    # The projected gradient ascent is hand-written: importing
+    # scipy.optimize would add about 19 MB of resident memory and a
+    # quarter second to every start, for steps a few lines of numpy take.
+    # A fresh interpreter is the only place where its absence can be
+    # observed, after both subcommands that optimize.
     script = (
         "import sys\n"
         "import powergram\n"
         "from powergram import cli\n"
         f"code = cli.main(['modify', 'ieee9', '--out', {str(tmp_path)!r}])\n"
+        f"code += cli.main(['oracle', 'ieee9', '--out', {str(tmp_path)!r}])\n"
         "print(code, 'scipy.optimize' in sys.modules)\n"
     )
     src = str(Path(powergram.__file__).resolve().parents[1])
@@ -509,7 +535,7 @@ class TestOneSchurFactorPerSystem:
 
 
 def test_modify_builds_each_system_once(out_dir, monkeypatch):
-    """Base system for the ranking and the objective, modified one once."""
+    """One base system for the ranking and the objective, modified one once."""
     builds = []
     results = []
     real_build = powergram.network.build_reduced_system
@@ -530,11 +556,36 @@ def test_modify_builds_each_system_once(out_dir, monkeypatch):
         ["modify", "ieee9", "--out", str(out_dir), "--metric", "logdet", "--s", "1"]
     )
     assert code == 0
-    assert len(builds) == 3
+    assert len(builds) == 2
     (result,) = results
     assert result.system.network is builds[-1]
     assert np.array_equal(result.system.network.L, result.L_modified)
     assert not result.system.A.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modify", "ieee9", "--s", "2", "--beta", "2", "--beta-sweep", "4"],
+        ["oracle", "ieee9", "--s", "2"],
+    ],
+    ids=["sweep", "oracle"],
+)
+def test_base_system_built_once(out_dir, monkeypatch, argv):
+    """Every answer of a sweep or an oracle reuses the ranking's base system."""
+    base_builds = []
+    real_build = powergram.network.build_reduced_system
+    base_L = ingest(bundled_network_path("ieee9")).L
+
+    def build(net):
+        if np.array_equal(net.L, base_L):
+            base_builds.append(net)
+        return real_build(net)
+
+    for module in (powergram.network, powergram.modify, powergram.cli):
+        monkeypatch.setattr(module, "build_reduced_system", build)
+    assert main(argv + ["--out", str(out_dir)]) == 0
+    assert len(base_builds) == 1
 
 
 class TestCliTopLevel:
