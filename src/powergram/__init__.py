@@ -22,14 +22,7 @@ from .errors import (
     PowergramError,
     StabilityError,
 )
-from .linalg import (
-    SpectralSummary,
-    matrix_exponential,
-    solve_lyapunov,
-    spectral_abscissa,
-    spectral_summary,
-    symmetrize,
-)
+from .linalg import matrix_exponential, solve_lyapunov, symmetrize
 from .network import (
     EdgeId,
     GeneratorNetwork,
@@ -93,9 +86,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "CombinationCapError",
     # linear algebra kernel
-    "SpectralSummary",
-    "spectral_summary",
-    "spectral_abscissa",
     "solve_lyapunov",
     "matrix_exponential",
     "symmetrize",

@@ -8,8 +8,8 @@ Gramian's derivative X solves A X + X A^T + F W + W F^T = 0, and the
 metric gradient is tr(G X) with G = I (trace), W^-1 (logdet) or W^-2
 (neg-trace-inv). The adjoint identity tr(G X) = 2 tr(P F W), with
 A^T P + P A + G = 0, serves every edge from one solve, which runs on the
-real Schur factor the reduced system already holds for its Hurwitz test
-and Gramian (so building the ECM factors A no further time): F is
+real Schur factor the reduced system already holds for its Gramian
+(so building the ECM factors A no further time): F is
 -M^-1 (e_a - e_b)(e_a - e_b)^T U in its frequency-by-angle block, so
 with the N x N matrix Z = U (W P)[angle, freq] diag(M)^-1 every entry is
 
@@ -35,10 +35,11 @@ from .linalg import (
     _schur_lyapunov,
     _symmetric_rhs,
 )
-from .network import EdgeId, GeneratorNetwork, ReducedSystem, edge_laplacian
+from .network import (
+    EdgeId, GeneratorNetwork, ReducedSystem, _couplings, edge_laplacian,
+)
 
 __all__ = [
-    "SUPPORT_THRESHOLD",
     "CandidateKind",
     "CandidateEdgeSet",
     "EdgeCentralityReport",
@@ -48,10 +49,6 @@ __all__ = [
     "select_edge_set",
     "nnec_report",
 ]
-
-# Couplings below this are treated as absent: printed network matrices
-# carry rounding noise well above machine epsilon.
-SUPPORT_THRESHOLD = 1e-12
 
 
 class CandidateKind(Enum):
@@ -84,18 +81,18 @@ class CandidateEdgeSet:
         return cls(edges=edges, provenance=CandidateKind.ALL_PAIRS)
 
     @classmethod
-    def laplacian_support(
-        cls, net: GeneratorNetwork, threshold: float = SUPPORT_THRESHOLD
-    ) -> "CandidateEdgeSet":
-        """Edges that actually exist in the network: coupling above threshold.
+    def laplacian_support(cls, net: GeneratorNetwork) -> "CandidateEdgeSet":
+        """Edges that exist: coupling above ``network.SUPPORT_THRESHOLD``,
+        the same lines that decide whether the network is stable.
 
         This is the default candidate set, since creating brand-new
         transmission lines is not a feasible modification.
         """
+        G = _couplings(net.L)
         edges = tuple(
             edge
             for edge in cls.all_pairs(net.N).edges
-            if net.edge_weight(edge) > threshold
+            if G[edge.i - 1, edge.j - 1] > 0.0
         )
         return cls(edges=edges, provenance=CandidateKind.LAPLACIAN_SUPPORT)
 
@@ -167,10 +164,13 @@ def _gradient_weights(
     return W_inv @ W_inv  # the adjoint solve symmetrizes the roundoff away
 
 
-def _ecm_matrix(sys: ReducedSystem, W: np.ndarray, metric: GramianMetric):
-    """All-pairs gradient matrix from one adjoint solve (module docstring)."""
+def _ecm_matrix(
+    sys: ReducedSystem, W: np.ndarray, metric: GramianMetric, chol=None
+):
+    """All-pairs gradient matrix from one adjoint solve (module docstring);
+    ``chol`` is W's lower Cholesky factor if the caller holds it."""
     N = sys.network.N
-    G = _symmetric_rhs(_gradient_weights(W, metric), sys.order, "G")
+    G = _symmetric_rhs(_gradient_weights(W, metric, chol), sys.order, "G")
     P = _schur_lyapunov(sys.schur, G, adjoint=True)
     Z = sys.U @ (W @ P)[: N - 1, N - 1 :] / sys.network.M
     d = np.diag(Z)
@@ -216,7 +216,8 @@ def build_ecm(
     for edge in candidate:
         if edge.i > net.N:
             raise ValueError(f"candidate edge {edge} out of range for N={net.N}")
-    full = _ecm_matrix(sys, gramian_infinite(sys).W, metric)
+    gramian = gramian_infinite(sys)
+    full = _ecm_matrix(sys, gramian.W, metric, gramian.chol)
     upsilon = np.zeros_like(full)
     for edge in candidate:
         a, b = edge.i - 1, edge.j - 1
@@ -253,9 +254,7 @@ def nnec_report(net: GeneratorNetwork):
     only on L, never on M or D.
     """
     N = net.N
-    G = -net.L.copy()
-    np.fill_diagonal(G, 0.0)
-    G[G <= SUPPORT_THRESHOLD] = 0.0
+    G = _couplings(net.L)
     rho = G.sum(axis=1)
     lam = np.zeros((N, N))
     support = CandidateEdgeSet.laplacian_support(net)

@@ -10,7 +10,8 @@ Exit codes are a stable contract for CI:
     0  success
     2  usage or argument error
     3  network validation / schema error
-    4  numerical failure (non-Hurwitz, indefinite, non-convergence)
+    4  numerical failure (disconnected coupling graph, non-Hurwitz,
+       indefinite, non-convergence)
     5  combinatorial refusal (brute force past the cap)
 """
 

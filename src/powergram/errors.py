@@ -20,7 +20,7 @@ class ModelError(PowergramError):
 
 
 class StabilityError(PowergramError):
-    """A matrix required to be Hurwitz is not."""
+    """Not stable: a disconnected coupling graph or a non-Hurwitz matrix."""
 
 
 class NumericalError(PowergramError):

@@ -97,23 +97,27 @@ def _factored_metric(W: np.ndarray, kind: GramianMetric):
 class GramianResult:
     """A controllability Gramian with its horizon and metric values.
 
-    ``controllable`` is False when the Cholesky factorization of W
-    failed, which flags an uncontrollable (or numerically singular) pair;
-    the determinant-based metrics are NaN in that case instead of
-    raising, so reports can still be produced.
+    ``chol`` is W's read-only lower Cholesky factor, or None when the
+    factorization failed, which flags an uncontrollable (or numerically
+    singular) pair; the determinant-based metrics are NaN in that case
+    instead of raising, so reports can still be produced.
     """
 
     W: np.ndarray
     horizon: float
     metric_values: dict
-    controllable: bool
+    chol: np.ndarray | None
+
+    @property
+    def controllable(self) -> bool:
+        return self.chol is not None
 
     def metric(self, kind: GramianMetric) -> float:
         return self.metric_values[kind]
 
 
 def _gramian_result(W: np.ndarray, horizon: float) -> GramianResult:
-    """``W``, made read-only, with its horizon and all three metric values."""
+    """``W`` and its factor, made read-only, with the horizon and metrics."""
     W.flags.writeable = False
     values = {GramianMetric.TRACE: float(np.trace(W))}
     try:
@@ -121,10 +125,11 @@ def _gramian_result(W: np.ndarray, horizon: float) -> GramianResult:
     except NotPositiveDefiniteError:
         values[GramianMetric.LOG_DET] = math.nan
         values[GramianMetric.NEG_TRACE_INV] = math.nan
-        return GramianResult(W, horizon, values, controllable=False)
+        return GramianResult(W, horizon, values, None)
+    L.flags.writeable = False
     values[GramianMetric.LOG_DET] = _cholesky_logdet(L)
     values[GramianMetric.NEG_TRACE_INV] = -_cholesky_trace_inv(L)
-    return GramianResult(W, horizon, values, controllable=True)
+    return GramianResult(W, horizon, values, L)
 
 
 def _schur_of(sys) -> RealSchur:
@@ -192,8 +197,12 @@ def default_horizon(sys: ReducedSystem) -> float:
 
 
 def _gramian_cholesky(sys: ReducedSystem, t_f: float):
-    """W(t_f)'s lower Cholesky factor, in the (factor, lower) form of cho_solve."""
-    return _cholesky(gramian_finite(sys, t_f).W), True
+    """W(t_f)'s kept lower Cholesky factor, in the (factor, lower) form of
+    cho_solve; :class:`NotPositiveDefiniteError` if W(t_f) has none."""
+    chol = gramian_finite(sys, t_f).chol
+    if chol is None:
+        raise NotPositiveDefiniteError(f"W({t_f:.6g}) is not positive definite")
+    return chol, True
 
 
 def minimum_energy_cost(sys: ReducedSystem, x0, t_f: float) -> float:

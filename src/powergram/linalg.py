@@ -7,10 +7,11 @@ and failure mapping live in exactly one place.
 
 The Lyapunov solver is Bartels-Stewart (CACM 15(9), 1972): one real
 Schur factorization A = Z T Z^T (``dgees``), kept as a :class:`RealSchur`,
-gives the Hurwitz test, read from the eigenvalues on T's diagonal, and
-any number of solves, each a triangular Sylvester equation in T
-(``dtrsyl``). The same factor solves the adjoint equation
-A^T P + P A + G = 0 as T^T Y + Y T = -Z^T G Z, so a reduced system's
+gives any number of solves, each a triangular Sylvester equation in T
+(``dtrsyl``). Each solve first checks its own precondition, that A is
+Hurwitz, on the eigenvalues read off T's diagonal. The same factor
+solves the adjoint equation A^T P + P A + G = 0 as
+T^T Y + Y T = -Z^T G Z, so a reduced system's
 Gramians and its edge-centrality adjoint all share one factorization.
 The SPD metrics read log det W and tr(W^-1) off one Cholesky factor
 W = L L^T without forming W^-1.
@@ -21,7 +22,6 @@ involved here justify anything fancier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,9 +32,6 @@ from .errors import NotPositiveDefiniteError, NumericalError, StabilityError
 
 __all__ = [
     "RealSchur",
-    "SpectralSummary",
-    "spectral_summary",
-    "spectral_abscissa",
     "solve_lyapunov",
     "matrix_exponential",
     "symmetrize",
@@ -53,31 +50,6 @@ def _as_square(A, name: str = "matrix") -> np.ndarray:
 def symmetrize(A: np.ndarray) -> np.ndarray:
     """Return the symmetric part (A + A^T)/2."""
     return 0.5 * (A + A.T)
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Eigenvalues of a real matrix plus the largest real part."""
-
-    eigenvalues: np.ndarray
-    abscissa: float
-
-
-def spectral_summary(A) -> SpectralSummary:
-    A = _as_square(A)
-    try:
-        ev = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:  # QR iteration failure
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-    return SpectralSummary(eigenvalues=ev, abscissa=float(np.max(ev.real)))
-
-
-def spectral_abscissa(A) -> float:
-    """Largest real part over the spectrum of ``A``.
-
-    Strictly negative iff ``A`` is Hurwitz.
-    """
-    return spectral_summary(A).abscissa
 
 
 def _no_sort(wr, wi) -> int:
@@ -104,10 +76,6 @@ class RealSchur(NamedTuple):
     def abscissa(self) -> float:
         """Largest real part over the spectrum; negative iff A is Hurwitz."""
         return float(self.wr.max())
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.hypot(self.wr, self.wi).max())
 
 
 def _real_schur(A) -> RealSchur:

@@ -5,7 +5,9 @@ edges, with Euclidean budget ||gamma|| <= beta, to maximize a
 controllability metric of the modified network. Each line keeps a floor
 on its coupling: gamma_k >= -(1 - eps) g_k with eps = COUPLING_FLOOR =
 1e-3, so a line can be weakened to a thousandth of its coupling but never
-cut. Every point of this feasible set leaves the coupling graph as
+cut. A line at its floor keeps coupling eps g, so it stays present
+(eps g > network.SUPPORT_THRESHOLD) exactly when g > 1e-9. For such
+lines every point of this feasible set leaves the coupling graph as
 connected as it was, so every modified system is stable and the metric
 is finite and smooth on the whole set. A budget past a line's cut
 therefore ends at that line's floor instead of at a disconnected network
@@ -248,7 +250,8 @@ class _ObjectiveContext:
         base_gramian = gramian_infinite(self.sys0)
         self.h_base = base_gramian.metric(problem.metric)
         self.base_point = _Point(
-            np.zeros(problem.s), self.h_base, self.sys0.schur, base_gramian.W, None
+            np.zeros(problem.s), self.h_base, self.sys0.schur, base_gramian.W,
+            base_gramian.chol,
         )
 
     def evaluate(self, gamma: np.ndarray) -> _Point | None:
@@ -397,7 +400,9 @@ def modification_is_feasible(
     Budget ||gamma|| <= beta with a 1e-9 slack; the coupling floor
     gamma_k >= -(1 - COUPLING_FLOOR) g_k with none, so cutting a line
     (gamma_k = -g_k) is infeasible; and stability of the modified network
-    as ``build_reduced_system`` decides it.
+    as ``build_reduced_system`` decides it, from its coupling graph. A line
+    at its floor stays present iff eps g > SUPPORT_THRESHOLD, that is
+    g > 1e-9, so only a line already weaker than that can disconnect.
     """
     return _feasible_system(net, edge_set, gamma, beta) is not None
 

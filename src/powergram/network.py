@@ -8,8 +8,14 @@ generators coupled through a susceptance Laplacian ``L``:
 with inertia ``M`` and damping ``D`` diagonal and positive. The Laplacian
 has a structural zero eigenvalue along the all-ones vector (uniform angle
 shifts are unobservable), so the 2N-dimensional state space is projected
-onto the complement of that average mode, giving a stable system of
-dimension 2N - 1 whose controllability Gramian exists.
+onto the complement of that average mode, giving a system of dimension
+2N - 1 whose controllability Gramian exists exactly when it is stable.
+
+A line exists when its coupling g = -l_ji exceeds ``SUPPORT_THRESHOLD``,
+and the reduced system is stable exactly when those lines connect every
+generator: with M, D > 0, an eigenpair (lambda, v) of lambda^2 M +
+lambda D + L has Re lambda < 0 unless L v = 0, and ker L is the
+projected-out span(1) exactly when the graph is connected.
 
 Angles are absolute rotor angles at the equilibrium, voltages are q-axis
 magnitudes, both per-unit; fast electromagnetic dynamics are not modeled.
@@ -26,6 +32,7 @@ from .errors import ModelError, StabilityError
 from .linalg import RealSchur, _real_schur
 
 __all__ = [
+    "SUPPORT_THRESHOLD",
     "EdgeId",
     "ReducedAdmittanceData",
     "GeneratorNetwork",
@@ -45,6 +52,9 @@ _SYM_TOL = 1e-12
 _ROWSUM_TOL = 1e-10
 _OFFDIAG_TOL = 1e-12
 _PSD_TOL = 1e-10
+# A line exists when its coupling exceeds this: printed network matrices
+# carry rounding noise well above machine epsilon.
+SUPPORT_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True, order=True)
@@ -216,10 +226,10 @@ class ReducedSystem:
     network is kept so downstream analyses can reach M, D, L.
 
     ``schur`` holds A's real Schur factor A = Z T Z^T, computed once on
-    construction: the Hurwitz test, both Gramians and the edge-centrality
-    adjoint all read it. ``A`` and ``B`` are private read-only copies, so
-    the factor, and the Gramian that :func:`~powergram.gramian_infinite`
-    keeps here once solved, cannot go stale.
+    construction: both Gramians and the edge-centrality adjoint read it.
+    ``A`` and ``B`` are private read-only copies, so the factor, and the
+    Gramian that :func:`~powergram.gramian_infinite` keeps here once
+    solved, cannot go stale.
     """
 
     A: np.ndarray
@@ -287,28 +297,42 @@ def reduced_pair(M: np.ndarray, D: np.ndarray, L: np.ndarray, U: np.ndarray):
     return A, B
 
 
+def _couplings(L: np.ndarray) -> np.ndarray:
+    """Symmetric coupling matrix of the lines that exist.
+
+    Entry (a, b) is g = -l_ab read from the lower triangle, as
+    :meth:`GeneratorNetwork.edge_weight` reads it, and zero where
+    g <= SUPPORT_THRESHOLD or a = b.
+    """
+    G = np.tril(-L, -1)
+    G[G <= SUPPORT_THRESHOLD] = 0.0
+    return G + G.T
+
+
 def build_reduced_system(net: GeneratorNetwork) -> ReducedSystem:
     """Project the swing dynamics onto the average-free subspace.
 
-    The full 2N-state system always carries a marginal zero mode from
-    L1 = 0; after projection the remaining spectrum must be strictly in
-    the open left half-plane, otherwise :class:`StabilityError` is
-    raised (non-positive damping or a disconnected Laplacian).
+    The projected system is stable exactly when the lines above
+    ``SUPPORT_THRESHOLD`` connect every generator (module docstring).
+    That is checked by a search from generator 1 before A is factored;
+    a disconnected network raises :class:`StabilityError` naming the
+    generators the search does not reach.
     """
+    linked = _couplings(net.L) > 0.0
+    reached = frontier = np.arange(net.N) == 0
+    while frontier.any():
+        frontier = linked[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    if not reached.all():
+        unreached = (np.flatnonzero(~reached) + 1).tolist()
+        raise StabilityError(
+            f"coupling graph is disconnected: no line above "
+            f"{SUPPORT_THRESHOLD:g} reaches generators {unreached} from "
+            "generator 1, so the reduced system keeps a marginal mode"
+        )
     U, T = build_projection(net.N)
     A, B = reduced_pair(net.M, net.D, net.L, U)
-    sys = ReducedSystem(A=A, B=B, T=T, U=U, network=net)
-    # A disconnected network leaves an exact zero eigenvalue that the
-    # eigensolver may round to either side of the axis, so the Hurwitz
-    # test needs a margin relative to the spectral radius.
-    margin = 1e-12 * max(1.0, sys.schur.spectral_radius)
-    if not sys.schur.abscissa < -margin:
-        raise StabilityError(
-            f"reduced state matrix is not Hurwitz (spectral abscissa "
-            f"{sys.schur.abscissa:.6g}); check damping signs and Laplacian "
-            "connectivity"
-        )
-    return sys
+    return ReducedSystem(A=A, B=B, T=T, U=U, network=net)
 
 
 def _phase_shift(y: complex, row: int, col: int) -> float:

@@ -59,12 +59,13 @@ def toy3_path(toy3):
 
 
 class LapackCalls:
-    """Schur factorizations and Sylvester solves made through powergram.linalg.
+    """Factorizations and Sylvester solves made through powergram.linalg.
 
     ``dgees`` holds a copy of each factored matrix, ``dtrsyl`` the
     ``trana`` flag of each triangular solve ("T" marks an adjoint solve
-    A^T P + P A + G = 0), ``eigvals`` counts ``np.linalg.eigvals`` calls
-    and ``expm`` the matrix exponentials.
+    A^T P + P A + G = 0), ``dpotrf`` counts Cholesky factorizations,
+    ``eigvals`` counts ``np.linalg.eigvals`` calls and ``expm`` the
+    matrix exponentials.
     """
 
     def __init__(self):
@@ -73,6 +74,7 @@ class LapackCalls:
     def clear(self):
         self.dgees = []
         self.dtrsyl = []
+        self.dpotrf = 0
         self.eigvals = 0
         self.expm = 0
 
@@ -82,6 +84,7 @@ def lapack_calls(monkeypatch):
     calls = LapackCalls()
     real_dgees = powergram.linalg.dgees
     real_dtrsyl = powergram.linalg.dtrsyl
+    real_dpotrf = powergram.linalg.dpotrf
     real_eigvals = np.linalg.eigvals
     real_expm = powergram.linalg.sla.expm
 
@@ -92,6 +95,10 @@ def lapack_calls(monkeypatch):
     def dtrsyl(*args, **kwargs):
         calls.dtrsyl.append(kwargs.get("trana", "N"))
         return real_dtrsyl(*args, **kwargs)
+
+    def dpotrf(*args, **kwargs):
+        calls.dpotrf += 1
+        return real_dpotrf(*args, **kwargs)
 
     def eigvals(A):
         calls.eigvals += 1
@@ -104,6 +111,7 @@ def lapack_calls(monkeypatch):
     monkeypatch.setattr(powergram.linalg, "dgees", dgees)
     monkeypatch.setattr(powergram.linalg.sla, "expm", expm)
     monkeypatch.setattr(powergram.linalg, "dtrsyl", dtrsyl)
+    monkeypatch.setattr(powergram.linalg, "dpotrf", dpotrf)
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     return calls
 

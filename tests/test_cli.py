@@ -407,15 +407,18 @@ def test_modify_does_not_import_scipy_optimize(tmp_path):
     # The projected gradient ascent is hand-written: importing
     # scipy.optimize would add about 19 MB of resident memory and a
     # quarter second to every start, for steps a few lines of numpy take.
-    # A fresh interpreter is the only place where its absence can be
-    # observed, after both subcommands that optimize.
+    # The coupling-graph search is a few lines of numpy too, where
+    # scipy.sparse.csgraph would add about 3 MB and 40 ms. A fresh
+    # interpreter is the only place where their absence can be observed,
+    # after the subcommands that optimize, rank or read poles.
     script = (
         "import sys\n"
         "import powergram\n"
         "from powergram import cli\n"
-        f"code = cli.main(['modify', 'ieee9', '--out', {str(tmp_path)!r}])\n"
-        f"code += cli.main(['oracle', 'ieee9', '--out', {str(tmp_path)!r}])\n"
-        "print(code, 'scipy.optimize' in sys.modules)\n"
+        "code = 0\n"
+        "for command in ('analyze', 'modify', 'oracle', 'damping'):\n"
+        f"    code += cli.main([command, 'ieee9', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
     )
     src = str(Path(powergram.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -426,7 +429,7 @@ def test_modify_does_not_import_scipy_optimize(tmp_path):
         [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert proc.stdout.split()[-3:] == ["0", "False", "False"]
 
 
 class TestCliEnergy:
@@ -532,6 +535,21 @@ class TestOneSchurFactorPerSystem:
         # W(t_f) is solved once, for the report and the samples alike.
         assert lapack_calls.expm == 1
         assert lapack_calls.dtrsyl == ["N", "N"]
+        # One Cholesky factor per Gramian, reused by the samples.
+        assert lapack_calls.dpotrf == 2
+
+
+class TestOneCholeskyFactorPerGramian:
+    """A Gramian is factored once; the ECM and the optimizer reuse it."""
+
+    def test_analyze(self, out_dir, lapack_calls):
+        assert main(["analyze", "ieee9", "--out", str(out_dir)]) == 0
+        assert lapack_calls.dpotrf == 1
+
+    def test_modify(self, out_dir, lapack_calls):
+        argv = ["modify", "ieee9", "--out", str(out_dir), "--metric", "logdet", "--s", "1"]
+        assert main(argv) == 0
+        assert lapack_calls.dpotrf == 6
 
 
 def test_modify_builds_each_system_once(out_dir, monkeypatch):

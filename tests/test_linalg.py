@@ -13,8 +13,6 @@ from powergram import (
     matrix_exponential,
     metric_value,
     solve_lyapunov,
-    spectral_abscissa,
-    spectral_summary,
     symmetrize,
 )
 from powergram.centrality import _gradient_weights
@@ -30,29 +28,11 @@ def test_symmetrize_is_symmetric_and_idempotent():
     assert np.array_equal(symmetrize(S), S)
 
 
-def test_spectral_abscissa_diagonal():
-    assert spectral_abscissa(np.diag([-1.0, -3.0])) == -1.0
-
-
-def test_spectral_abscissa_rotation_is_zero():
-    # Pure rotation: spectrum on the imaginary axis.
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert abs(spectral_abscissa(J)) < 1e-14
-
-
-def test_spectral_summary_shift():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((6, 6))
-    a0 = spectral_abscissa(A)
-    assert spectral_abscissa(A + 2.5 * np.eye(6)) == pytest.approx(a0 + 2.5, abs=1e-10)
-    assert spectral_summary(A).eigenvalues.shape == (6,)
-
-
 def test_square_input_required():
-    with pytest.raises(ValueError):
-        spectral_abscissa(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        spectral_abscissa(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        solve_lyapunov(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_lyapunov(np.array([[np.nan, 0.0], [0.0, -1.0]]), np.eye(2))
 
 
 def test_lyapunov_scalar_closed_form():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import random_connected_network
 from powergram import (
+    CandidateEdgeSet,
     EdgeId,
     GeneratorNetwork,
     ModelError,
@@ -15,10 +16,12 @@ from powergram import (
     edge_laplacian,
     gramian_infinite,
     laplacian_from_admittance,
+    nnec_report,
     recover_modified_admittance,
     reduced_pair,
-    spectral_abscissa,
+    save_network,
 )
+from powergram.cli import main
 
 
 class TestEdgeId:
@@ -141,7 +144,7 @@ def test_reduced_system_shape_and_stability(ieee9, ieee9_sys):
     assert ieee9_sys.order == 2 * n - 1
     assert ieee9_sys.A.shape == (2 * n - 1, 2 * n - 1)
     assert ieee9_sys.B.shape == (2 * n - 1, n)
-    assert spectral_abscissa(ieee9_sys.A) < 0
+    assert np.max(np.linalg.eigvals(ieee9_sys.A).real) < 0
     assert ieee9_sys.network is ieee9
 
 
@@ -195,8 +198,77 @@ def test_disconnected_network_is_rejected():
     G[0, 1] = G[1, 0] = 1.0
     L = np.diag(G.sum(axis=1)) - G
     net = GeneratorNetwork(M=np.ones(3), D=np.ones(3), L=L)
-    with pytest.raises(StabilityError):
+    with pytest.raises(StabilityError, match=r"generators \[3\]"):
         build_reduced_system(net)
+
+
+def _is_stable(net):
+    try:
+        build_reduced_system(net)
+    except StabilityError:
+        return False
+    return True
+
+
+def test_connectivity_agrees_with_eigenvalues():
+    # The reduced system is Hurwitz exactly when the lines above
+    # SUPPORT_THRESHOLD connect the graph. Scaling every line across a
+    # random cut checks that against an independent eigenvalue verdict.
+    # The two disagree only for cut scales in [1e-13, 1e-11], where the
+    # slow mode is within roundoff of the axis, so those are not drawn.
+    for seed in range(100):
+        rng = np.random.default_rng([seed, 15])
+        n = int(rng.integers(3, 15))
+        G = -random_connected_network(rng, n).L
+        np.fill_diagonal(G, 0.0)
+        M, D = np.exp(rng.uniform(np.log(0.01), 0.0, (2, n)))
+        side = rng.permutation(np.arange(n) < int(rng.integers(1, n)))
+        cut = side[:, None] != side[None, :]
+        for scale in (0.0, 1e-14, 1e-9, 1e-6):
+            H = np.where(cut, scale * G, G)
+            L = np.diag(H.sum(axis=1)) - H
+            ev = np.linalg.eigvals(reduced_pair(M, D, L, build_projection(n)[0])[0])
+            hurwitz = ev.real.max() < -1e-12 * np.abs(ev).max()
+            net = GeneratorNetwork(M=M, D=D, L=L)
+            assert _is_stable(net) == hurwitz, (seed, scale)
+            assert hurwitz == (scale > 1e-12)
+
+
+def _bridged(bridge: float, D: float = 0.05) -> GeneratorNetwork:
+    # Lines (2,1) and (4,3), joined by the bridge (3,2).
+    G = np.zeros((4, 4))
+    for (i, j, w) in ((2, 1, 1.0), (4, 3, 1.5), (3, 2, bridge)):
+        G[i - 1, j - 1] = G[j - 1, i - 1] = w
+    L = np.diag(G.sum(axis=1)) - G
+    return GeneratorNetwork(M=np.ones(4), D=np.full(4, D), L=L)
+
+
+def test_sub_threshold_bridge_is_absent_everywhere():
+    # A 5e-13 bridge leaves the slow mode at about -1e-11, clear of a
+    # margin of 1e-12 times the spectral radius; it is still not a line.
+    net = _bridged(5e-13)
+    support = CandidateEdgeSet.laplacian_support(net)
+    assert support.edges == (EdgeId(2, 1), EdgeId(4, 3))
+    lam, ranking = nnec_report(net)
+    assert set(ranking) == {EdgeId(2, 1), EdgeId(4, 3)}
+    assert np.array_equal(lam, nnec_report(_bridged(0.0))[0])
+    with pytest.raises(StabilityError, match=r"generators \[3, 4\]"):
+        build_reduced_system(net)
+
+
+@pytest.mark.parametrize("D", [1.0, 0.05])
+@pytest.mark.parametrize("bridge", [2e-12, 6e-12, 2e-11])
+def test_weak_bridge_exits_cleanly(tmp_path, bridge, D):
+    # Just above the threshold the network is accepted, and its Gramian
+    # is huge; every subcommand answers or fails as numerical (exit 4).
+    path = tmp_path / "bridged.json"
+    save_network(_bridged(bridge, D), path)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["analyze"], ["modify"], ["oracle"], ["energy", "--samples", "10"],
+        ["damping"],
+    ):
+        assert main([argv[0], str(path), "--out", out, *argv[1:]]) in (0, 4)
 
 
 def _two_gen_admittance(y: complex, theta=(0.0, 0.0), E=(1.0, 1.0)):
